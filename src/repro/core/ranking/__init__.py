@@ -9,8 +9,8 @@ Pipeline:
    ascending (:func:`individual_rankings`),
 3. aggregation: find the ranking minimizing the weighted Spearman
    footrule distance ``κ_f(R, Ω) = Σ_j w_j · d_f(R, R_j)`` by reduction
-   to min-cost bipartite perfect matching on a place × rank flow graph
-   (:func:`aggregate_footrule`). Because ``d_K ≤ d_f ≤ 2·d_K``
+   to a min-cost place × rank assignment, solved on the dense cost
+   matrix (:func:`aggregate_footrule`). Because ``d_K ≤ d_f ≤ 2·d_K``
    (Diaconis–Graham), the footrule optimum 2-approximates the NP-hard
    weighted Kemeny optimum.
 
@@ -39,7 +39,6 @@ from repro.core.ranking.individual import (
     preference_distance_matrix,
     require_finite_features,
 )
-from repro.core.ranking.mincostflow import MinCostFlow
 from repro.core.ranking.preferences import (
     MAX,
     MIN,
@@ -52,7 +51,6 @@ __all__ = [
     "MAX",
     "MIN",
     "FeaturePreference",
-    "MinCostFlow",
     "PreferenceProfile",
     "Ranking",
     "aggregate_footrule",

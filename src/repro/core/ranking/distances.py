@@ -10,6 +10,7 @@ equations (7) and (11).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.common.errors import RankingError
@@ -45,15 +46,21 @@ def footrule_distance(first: Ranking, second: Ranking) -> int:
     )
 
 
-def _check_collection(
+def check_collection(
     ranking: Ranking, collection: Sequence[Ranking], weights: Sequence[float]
 ) -> None:
+    """Raise :class:`RankingError` unless ``collection`` and ``weights``
+    pair up, every weight is finite and non-negative (the error names
+    the first bad index), and every ranking has ``ranking``'s items."""
     if len(collection) != len(weights):
         raise RankingError(
             f"{len(collection)} rankings but {len(weights)} weights"
         )
-    if any(weight < 0 for weight in weights):
-        raise RankingError("weights must be non-negative")
+    for index, weight in enumerate(weights):
+        if not (math.isfinite(weight) and weight >= 0):
+            raise RankingError(
+                f"weight {index} must be finite and non-negative, got {weight!r}"
+            )
     for individual in collection:
         ranking.require_same_items(individual)
 
@@ -62,7 +69,7 @@ def weighted_kemeny_distance(
     ranking: Ranking, collection: Sequence[Ranking], weights: Sequence[float]
 ) -> float:
     """κ_K(R, Ω) = Σ_j w_j · d_K(R, R_j) (equation (7))."""
-    _check_collection(ranking, collection, weights)
+    check_collection(ranking, collection, weights)
     return sum(
         weight * kemeny_distance(ranking, individual)
         for individual, weight in zip(collection, weights)
@@ -73,7 +80,7 @@ def weighted_footrule_distance(
     ranking: Ranking, collection: Sequence[Ranking], weights: Sequence[float]
 ) -> float:
     """κ_f(R, Ω) = Σ_j w_j · d_f(R, R_j) (equation (11))."""
-    _check_collection(ranking, collection, weights)
+    check_collection(ranking, collection, weights)
     return sum(
         weight * footrule_distance(ranking, individual)
         for individual, weight in zip(collection, weights)

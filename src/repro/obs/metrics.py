@@ -3,7 +3,7 @@
 Every hot path in the reproduction reports to one of these instruments so
 the server's ``GET /metrics`` endpoint (and the ``repro obs`` CLI command)
 can expose what the system actually did — requests handled, instants
-evaluated by the greedy scheduler, flow iterations spent on aggregation,
+evaluated by the greedy scheduler, footrule aggregations ranked,
 bytes moved by the transport, rows touched in the database.
 
 Design rules, in rough order of importance:

@@ -2,7 +2,7 @@
 
 Reads feature data for all places of a category from the database,
 assembles the paper's H matrix, and runs Algorithm 2 (Γ → individual
-rankings → weighted footrule aggregation via min-cost flow) for a
+rankings → weighted footrule aggregation as a min-cost assignment) for a
 user's preference profile.
 
 Serving-path additions on top of the paper:

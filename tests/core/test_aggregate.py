@@ -10,6 +10,7 @@ from repro.common.errors import RankingError
 from repro.core.ranking import (
     Ranking,
     aggregate_footrule,
+    aggregate_hybrid,
     borda_count,
     brute_force_kemeny,
     footrule_cost_matrix,
@@ -81,6 +82,57 @@ class TestFootruleOptimality:
         assert achieved <= 2.0 * optimal_value + 1e-9
 
 
+class TestTieBreakContract:
+    """Which optimum comes back when several assignments cost the same.
+
+    Places join the matching in the first ranking's item order, each
+    along a cheapest augmenting path; equal reduced costs go to the
+    lowest rank index.
+    """
+
+    def test_reversed_pair_keeps_first_order(self):
+        # Every place costs 2 at every rank: A, then B, then C each take
+        # the lowest free rank.
+        collection = [Ranking("ABC"), Ranking("CBA")]
+        assert aggregate_footrule(collection, [1, 1]) == Ranking("ABC")
+
+    def test_reversed_four_keeps_first_order(self):
+        # B and C cost 1 at ranks 2 and 3 and 3 elsewhere; B arrives
+        # first and takes rank 2, C then takes rank 3 directly.
+        collection = [Ranking("ABCD"), Ranking("DCBA")]
+        assert aggregate_footrule(collection, [1, 1]) == Ranking("ABCD")
+
+    def test_all_zero_weights_return_first_ranking(self):
+        collection = [Ranking("CAB"), Ranking("ABC")]
+        assert aggregate_footrule(collection, [0, 0]) == Ranking("CAB")
+
+    def test_condorcet_cycle(self):
+        # Each place costs (3, 2, 3) over ranks 1..3. A arrives first and
+        # takes rank 2. B then ties at 3 between rank 1 and rank 3 and
+        # takes the lower rank index, leaving rank 3 to C.
+        collection = [Ranking("ABC"), Ranking("BCA"), Ranking("CAB")]
+        assert aggregate_footrule(collection, [1, 1, 1]) == Ranking("BAC")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tie_heavy_inputs_reach_optimum_deterministically(self, data):
+        items = tuple("ABCDEF"[: data.draw(st.integers(1, 6), label="places")])
+        num_rankings = data.draw(st.integers(1, 4), label="rankings")
+        collection = [
+            Ranking(data.draw(st.permutations(items))) for _ in range(num_rankings)
+        ]
+        weights = data.draw(
+            st.lists(st.integers(0, 2), min_size=num_rankings, max_size=num_rankings)
+        )
+        aggregated = aggregate_footrule(collection, weights)
+        best = min(
+            weighted_footrule_distance(Ranking(p), collection, weights)
+            for p in itertools.permutations(items)
+        )
+        assert weighted_footrule_distance(aggregated, collection, weights) == best
+        assert aggregate_footrule(collection, weights) == aggregated
+
+
 class TestBruteForceKemeny:
     def test_single_ranking_is_its_own_optimum(self):
         assert brute_force_kemeny([Ranking("BAC")], [5]) == Ranking("BAC")
@@ -139,3 +191,24 @@ class TestInputValidation:
     def test_mismatched_item_sets_rejected(self):
         with pytest.raises(RankingError):
             aggregate_footrule([Ranking("AB"), Ranking("AC")], [1, 1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected_by_aggregations(self, bad):
+        collection = [Ranking("ABC"), Ranking("CBA")]
+        with pytest.raises(RankingError, match="weight 0"):
+            aggregate_footrule(collection, [bad, 1])
+        ratings = {"A": 4.0, "B": 3.0, "C": 2.0}
+        with pytest.raises(RankingError, match="weight 1"):
+            aggregate_hybrid(collection, [1, bad], ratings)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected_by_distances(self, bad):
+        collection = [Ranking("ABC"), Ranking("CBA")]
+        for distance in (weighted_footrule_distance, weighted_kemeny_distance):
+            with pytest.raises(RankingError, match="weight 1"):
+                distance(Ranking("ABC"), collection, [1, bad])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_cost_overflow_rejected(self):
+        with pytest.raises(RankingError, match="non-finite"):
+            aggregate_footrule([Ranking("ABC"), Ranking("CBA")], [1e308, 1e308])

@@ -1,13 +1,14 @@
 """Differential tests pinning the ranking aggregation to scipy.
 
-The footrule aggregation is a min-cost perfect matching solved by our
-successive-shortest-paths flow solver; scipy's
-``linear_sum_assignment`` (Jonker–Volgenant) solves the same assignment
-problem by a completely different algorithm, which makes it an ideal
-cross-implementation oracle:
+The footrule aggregation is a min-cost perfect matching (the paper's
+place × rank flow problem) solved by our dense shortest-augmenting-path
+assignment routine; scipy's ``linear_sum_assignment`` (Jonker–Volgenant)
+solves the same assignment problem by a different algorithm, which makes
+it an ideal cross-implementation oracle:
 
-* on random cost matrices, the flow solver's total cost must equal the
-  scipy optimum,
+* on random float and integer cost matrices of size 1–40, the routine's
+  matching must be a permutation whose total cost equals the scipy
+  optimum (and the exhaustive optimum on tiny matrices),
 * on random ranking collections, the aggregate produced by
   :func:`aggregate_footrule` must *achieve* the scipy-optimal footrule
   cost (not just approximate it — the constraint matrix is totally
@@ -21,9 +22,11 @@ Run with ``--hypothesis-seed=0`` in CI for reproducibility.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -34,29 +37,23 @@ from repro.core.ranking import (
     weighted_kemeny_distance,
 )
 from repro.core.ranking.aggregate import (
+    _min_cost_assignment,
     footrule_cost_matrix,
     footrule_cost_matrix_reference,
 )
 from repro.core.ranking.distances import weighted_footrule_distance
-from repro.core.ranking.mincostflow import MinCostFlow
 
 
-def _flow_assignment_cost(cost: np.ndarray) -> float:
-    """Total cost of a min-cost perfect matching via our flow solver.
+def _assignment_cost(cost: np.ndarray) -> float:
+    """Total cost of our routine's matching, checked to be a permutation."""
+    columns = _min_cost_assignment(cost)
+    assert sorted(columns.tolist()) == list(range(cost.shape[0]))
+    return float(cost[np.arange(cost.shape[0]), columns].sum())
 
-    Same graph shape as :func:`aggregate_footrule`: source → rows →
-    columns → sink, all capacities 1.
-    """
-    count = cost.shape[0]
-    network = MinCostFlow(2 * count + 2)
-    source, sink = 0, 2 * count + 1
-    for row in range(count):
-        network.add_edge(source, 1 + row, 1, 0.0)
-        for column in range(count):
-            network.add_edge(1 + row, 1 + count + column, 1, float(cost[row, column]))
-    for column in range(count):
-        network.add_edge(1 + count + column, sink, 1, 0.0)
-    return network.solve(source, sink, count)
+
+def _scipy_cost(cost: np.ndarray) -> float:
+    rows, columns = linear_sum_assignment(cost)
+    return float(cost[rows, columns].sum())
 
 
 def cost_matrices(max_size: int = 7):
@@ -144,14 +141,41 @@ class TestVectorizedCostMatrixBitwise:
 
 
 class TestFlowMatchesScipy:
+    """The paper's place × rank flow problem, solved as a dense
+    assignment, against scipy's solver."""
+
     @given(cost=cost_matrices())
     @settings(max_examples=60, deadline=None)
     def test_min_cost_matching_equals_linear_sum_assignment(self, cost):
-        rows, columns = linear_sum_assignment(cost)
-        scipy_cost = float(cost[rows, columns].sum())
-        assert _flow_assignment_cost(cost) == pytest.approx(
-            scipy_cost, rel=1e-9, abs=1e-9
+        assert _assignment_cost(cost) == pytest.approx(
+            _scipy_cost(cost), rel=1e-9, abs=1e-9
         )
+
+    @given(
+        size=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        integral=st.booleans(),
+    )
+    @example(size=1, seed=0, integral=False)
+    @example(size=40, seed=0, integral=True)
+    @settings(max_examples=60, deadline=None)
+    def test_random_up_to_40_match_scipy(self, size, seed, integral):
+        rng = np.random.default_rng(seed)
+        if integral:  # small integers make equal-cost optima common
+            cost = rng.integers(0, 50, size=(size, size)).astype(float)
+        else:
+            cost = rng.uniform(0.0, 100.0, size=(size, size))
+        assert _assignment_cost(cost) == pytest.approx(
+            _scipy_cost(cost), rel=1e-9, abs=1e-9
+        )
+
+    def test_matches_exhaustive_small(self):
+        cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
+        best = min(
+            sum(cost[i, p[i]] for i in range(3))
+            for p in itertools.permutations(range(3))
+        )
+        assert _assignment_cost(cost) == pytest.approx(best)
 
     @given(case=ranking_collections())
     @settings(max_examples=40, deadline=None)
