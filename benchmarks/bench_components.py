@@ -61,7 +61,7 @@ def test_greedy_scheduler_paper_scale(benchmark):
 
 
 def test_greedy_scheduler_large_scale(benchmark):
-    """2× the paper's resolution and 100 users — lazy greedy must stay
+    """2× the paper's resolution and 100 users — exact greedy must stay
     comfortably sub-second."""
     rng = np.random.default_rng(1)
     period = SchedulingPeriod(0.0, 21_600.0, 2160)

@@ -1,5 +1,5 @@
 """Automated ablation harness: leave-one-out matrix over the injectable
-components (scheduling backend, lazy greedy, stochastic sampling,
+components (scheduling backend, stochastic sampling,
 ranking cache, concurrency, resilience, durability), a pinned-seed
 benchmark slate, and a ranked component-importance report with CI
 gates. See docs/ABLATION.md.

@@ -31,13 +31,7 @@ def _value(values: Mapping[str, Any], name: str, default: Any) -> Any:
 
 def greedy_kwargs(values: Mapping[str, Any]) -> dict[str, Any]:
     """``GreedyScheduler(**greedy_kwargs(config.values))``."""
-    mode = _value(values, "lazy_greedy", "lazy")
-    if mode not in ("lazy", "argmax"):
-        raise AblationError(f"lazy_greedy must be 'lazy' or 'argmax', got {mode!r}")
-    return {
-        "backend": _value(values, "backend", "numpy"),
-        "lazy": mode == "lazy",
-    }
+    return {"backend": _value(values, "backend", "numpy")}
 
 
 def stochastic_greedy_kwargs(
@@ -49,18 +43,13 @@ def stochastic_greedy_kwargs(
     measures sampled picks against the exact accelerated sweep, and
     running its long-horizon cell on the scalar reference backend would
     conflate that with the ``backend`` switch (and take minutes). The
-    ablated value falls back to the exact mode the ``lazy_greedy``
-    switch selects, so the twin is the system as it would actually run
-    without sampling.
+    ablated value falls back to the exact mode, so the twin is the
+    system as it would actually run without sampling.
     """
     value = _value(values, "stochastic", ON)
     if value not in (ON, OFF):
         raise AblationError(f"stochastic must be 'on' or 'off', got {value!r}")
-    mode = (
-        "stochastic"
-        if value == ON
-        else _value(values, "lazy_greedy", "lazy")
-    )
+    mode = "stochastic" if value == ON else "exact"
     return {"backend": "numpy", "mode": mode, "seed": seed}
 
 
@@ -109,10 +98,7 @@ def system_kwargs(
 
 def effective_greedy_values(scheduler: Any) -> dict[str, Any]:
     """Probe a ``GreedyScheduler`` back into switch vocabulary."""
-    return {
-        "backend": scheduler.backend,
-        "lazy_greedy": "lazy" if scheduler.lazy else "argmax",
-    }
+    return {"backend": scheduler.backend}
 
 
 def effective_stochastic_values(scheduler: Any) -> dict[str, Any]:

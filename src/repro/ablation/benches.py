@@ -2,13 +2,9 @@
 
 Four benches, one per subsystem the switch matrix touches:
 
-* ``scheduling`` — offline greedy on a seeded problem; times the
-  configured backend/strategy pair (the ``backend`` switch's primary
-  metric), the configured strategy on the scalar reference backend
-  (the ``lazy_greedy`` switch's primary — on the numpy backend the
-  maintained gains array makes both strategies equally cheap, so the
-  lazy heap's contribution is only measurable where it actually runs),
-  and a long-horizon cell pinned to the numpy backend where the
+* ``scheduling`` — offline exact greedy on a seeded problem on the
+  configured backend (the ``backend`` switch's primary metric), and a
+  long-horizon cell pinned to the numpy backend where the
   ``stochastic`` switch's sampled picks race the exact sweep (the cell
   emits its objective value too, so a run can eyeball the value cost
   of sampling — no digest: stochastic schedules legitimately differ);
@@ -158,17 +154,12 @@ def _stochastic_problem(seed: int, scale: BenchScale) -> SchedulingProblem:
 def bench_scheduling(
     values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
 ) -> BenchResult:
-    """Offline greedy on a seeded problem: configured pair + reference strategy."""
+    """Offline greedy on a seeded problem, plus the long-horizon cell."""
     problem = _scheduling_problem(seed, scale)
-    kwargs = greedy_kwargs(values)
-    configured = GreedyScheduler(metrics=MetricsRegistry(), **kwargs)
+    configured = GreedyScheduler(
+        metrics=MetricsRegistry(), **greedy_kwargs(values)
+    )
     seconds, schedule = _best_of(repeat, lambda: configured.solve(problem))
-    reference = GreedyScheduler(
-        metrics=MetricsRegistry(), backend="reference", lazy=kwargs["lazy"]
-    )
-    reference_seconds, reference_schedule = _best_of(
-        repeat, lambda: reference.solve(problem)
-    )
     # Long-horizon cell: sampled picks (baseline) vs the exact sweep
     # (ablated twin), numpy backend only — see stochastic_greedy_kwargs.
     # The schedule is deterministic under the pinned seed but differs
@@ -183,15 +174,11 @@ def bench_scheduling(
     return BenchResult(
         metrics={
             "scheduling_seconds": seconds,
-            "scheduling_reference_seconds": reference_seconds,
             "scheduling_value": schedule.objective_value,
             "scheduling_stochastic_seconds": stochastic_seconds,
             "scheduling_stochastic_value": stochastic_schedule.objective_value,
         },
-        digests={
-            "schedule": _digest(schedule.assignments),
-            "schedule_reference": _digest(reference_schedule.assignments),
-        },
+        digests={"schedule": _digest(schedule.assignments)},
     )
 
 

@@ -204,20 +204,6 @@ def default_registry() -> SwitchRegistry:
     )
     registry.register(
         Switch(
-            name="lazy_greedy",
-            description="accelerated greedy evaluation (lazy heap / "
-            "maintained dense argmax) vs the paper-literal O(N^2) argmax",
-            baseline="lazy",
-            ablated="argmax",
-            primary_metric="scheduling_reference_seconds",
-            behavior_preserving=True,
-            gate=True,
-            gate_floor=3.0,
-            gate_tolerance_pct=60.0,
-        )
-    )
-    registry.register(
-        Switch(
             name="stochastic",
             description="stochastic-greedy sampled picks vs the exact "
             "accelerated sweep on the long-horizon scheduling cell "

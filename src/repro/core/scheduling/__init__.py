@@ -37,6 +37,7 @@ from repro.core.scheduling.greedy import (
     argmax_tied_low,
     brute_force_optimal,
     stochastic_sample_size,
+    validate_greedy_options,
 )
 from repro.core.scheduling.matroid import BudgetPartitionMatroid, Matroid
 from repro.core.scheduling.multikernel import (
@@ -47,8 +48,6 @@ from repro.core.scheduling.multikernel import (
 from repro.core.scheduling.objective import (
     BACKENDS,
     DEFAULT_BACKEND,
-    DEFAULT_REPRESENTATION,
-    REPRESENTATIONS,
     CoverageObjective,
     KernelMatrices,
     clear_kernel_matrix_cache,
@@ -73,9 +72,7 @@ from repro.core.scheduling.problem import (
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "DEFAULT_REPRESENTATION",
     "GREEDY_MODES",
-    "REPRESENTATIONS",
     "BudgetPartitionMatroid",
     "CoverageKernel",
     "CoverageObjective",
@@ -107,5 +104,6 @@ __all__ = [
     "per_user_sum_value",
     "reference_coverage_of_instants",
     "stochastic_sample_size",
+    "validate_greedy_options",
     "validate_kernel_weights",
 ]

@@ -6,18 +6,17 @@ when no user can be scheduled further. Because the objective is monotone
 submodular and the constraint a (partition) matroid, greedy achieves at
 least half the optimum [paper ref 10].
 
-Three execution modes; the first two produce **identical** schedules:
+Two execution modes:
 
-* ``mode="argmax"`` (``lazy=False``) — the paper's O(N²) loop:
-  recompute every instant's gain each iteration and take the argmax,
-* ``mode="lazy"`` (``lazy=True``, default) — accelerated evaluation.
-  On the reference backend this is the classic lazy max-heap: keep
-  stale gains and only re-evaluate the top, valid because marginal
-  gains only decrease as the solution grows (submodularity). On the
-  numpy backend the objective *maintains* its gains array incrementally
-  (``maintains_gains``), so re-evaluation is free and the heap is pure
-  overhead — the accelerated path is a dense masked argmax per pick
-  over the maintained array.
+* ``mode="exact"`` (default) — the paper's greedy, one answer. The loop
+  is chosen by what the objective can do, not by an option. The numpy
+  objective *maintains* its marginal-gains array incrementally
+  (``maintains_gains``), so each pick is one masked argmax over that
+  array. The scalar reference recomputes gains on demand, so it runs
+  the classic lazy max-heap: keep stale gains and only re-evaluate the
+  top, valid because marginal gains only decrease as the solution grows
+  (submodularity). Both loops break exact ties toward the lower instant
+  index, so they pick the same instants.
 * ``mode="stochastic"`` — stochastic greedy (Mirzasoleiman et al.'s
   "lazier than lazy greedy", applied to sensor scheduling by Hashemi
   et al., arXiv:1709.08823): each pick draws
@@ -27,15 +26,14 @@ Three execution modes; the first two produce **identical** schedules:
   ``(1 − 1/e − ε)``-of-optimal guarantee *in expectation*. Exact under
   a fixed seed (the scaling bench and the hypothesis suite pin both
   determinism and value-within-ε), but NOT schedule-identical to the
-  exact modes — use it when the horizon is too long for a dense sweep
+  exact mode — use it when the horizon is too long for a dense sweep
   per pick (≳10⁴ instants; see docs/SCHEDULING.md). A dry sample
   (every sampled gain below ``min_gain``) falls back to one exact
   masked sweep, so the loop terminates exactly when exact greedy
   would and never stops early on an unlucky draw.
 
-The exact variants read the same maintained/recomputed gain values and
-break exact ties toward the lower instant index, so their outputs match
-bitwise within and across backends. The stochastic mode is exactly
+The exact mode's two loops read bitwise-identical gain values, so its
+schedules match bitwise across backends. The stochastic mode is exactly
 deterministic under a fixed seed *within* a backend, but its schedules
 are not guaranteed identical across backends: the numpy backend scores
 sampled candidates with one BLAS dot per window (accumulation order
@@ -44,10 +42,10 @@ gains_at``) and breaks exact ties toward the first-drawn candidate,
 while the reference backend walks a sorted, deduplicated sample with
 fold-order gains.
 
-Both strategies run on either coverage backend (``backend="numpy"`` —
-the vectorized default — or ``"reference"``, the scalar specification;
-see docs/SCHEDULING.md). The differential tests pin the two backends to
-identical schedules.
+Both modes run on either coverage backend (``backend="numpy"`` — the
+vectorized default — or ``"reference"``, the scalar specification; see
+docs/SCHEDULING.md). The differential tests pin the two backends to
+identical exact schedules.
 
 User assignment: when an instant is selected, it is given to the
 feasible user (window contains the instant, budget remaining, instant
@@ -81,10 +79,29 @@ from repro.obs import MetricsRegistry, get_metrics
 AnyCoverageObjective = CoverageObjective | ReferenceCoverageObjective
 
 #: The selectable greedy execution modes.
-GREEDY_MODES = ("lazy", "argmax", "stochastic")
+GREEDY_MODES = ("exact", "stochastic")
 
 #: Sentinel key for infeasible users in the `_pick_user` argmin.
 _INFEASIBLE_KEY = np.iinfo(np.int64).max
+
+
+def validate_greedy_options(mode: str, sample_epsilon: float) -> None:
+    """Reject an unknown greedy ``mode`` or an ε outside ``(0, 1)``.
+
+    Every scheduler entry point calls this from its constructor, so a
+    bad ε fails there with a :class:`SchedulingError` instead of deep in
+    :func:`stochastic_sample_size` (``ln(1/ε)`` divides by zero at 0,
+    has no real value below it, and clamps to a 1-candidate sample at
+    or above 1). NaN fails the range test too.
+    """
+    if mode not in GREEDY_MODES:
+        raise SchedulingError(
+            f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
+        )
+    if not 0.0 < sample_epsilon < 1.0:
+        raise SchedulingError(
+            f"sample_epsilon must be in (0, 1), got {sample_epsilon!r}"
+        )
 
 
 def stochastic_sample_size(
@@ -127,11 +144,11 @@ def argmax_tied_low(values: np.ndarray) -> int:
     """Index of the maximum, breaking exact ties toward the lowest index.
 
     The explicit tie-break contract every scheduling loop uses: it makes
-    re-runs, the lazy/naive variants and the numpy/reference backends
-    agree on which of several equally good instants is picked. (This is
-    what ``np.argmax`` does — first occurrence — but the contract is
-    load-bearing for the differential tests, so it lives behind a name
-    with a regression test rather than an implementation detail.)
+    re-runs and the numpy/reference backends agree on which of several
+    equally good instants is picked. (This is what ``np.argmax`` does —
+    first occurrence — but the contract is load-bearing for the
+    differential tests, so it lives behind a name with a regression test
+    rather than an implementation detail.)
     """
     return int(np.asarray(values).argmax())
 
@@ -144,54 +161,34 @@ class GreedyScheduler:
     would only burn a phone's budget and battery. Set it to 0 to run the
     matroid to a basis like the paper's literal while-condition.
 
-    ``mode`` selects the execution strategy (``"lazy"``, ``"argmax"``
-    or ``"stochastic"``; see the module docstring) and wins over the
-    older ``lazy`` boolean when both are given. The stochastic mode
+    ``mode`` selects the execution strategy (``"exact"`` or
+    ``"stochastic"``; see the module docstring). The stochastic mode
     samples with ``rng`` if injected, else a fresh
     ``np.random.default_rng(seed)`` per solve — so a scheduler object
     re-solved with the same seed is exactly deterministic, while an
     injected generator advances across solves under the caller's
     control. ``sample_epsilon`` is the ε of the sample-size formula
     (smaller ε → larger samples → tighter guarantee).
-
-    ``representation`` threads through to the numpy objective's
-    kernel-matrix layout (banded by default; dense only for the
-    differential suite).
     """
 
     def __init__(
         self,
         *,
-        lazy: bool = True,
         min_gain: float = 1e-12,
         backend: str = DEFAULT_BACKEND,
         metrics: MetricsRegistry | None = None,
-        mode: str | None = None,
+        mode: str = "exact",
         sample_epsilon: float = 0.1,
         seed: int = 2014,
         rng: np.random.Generator | None = None,
-        representation: str | None = None,
     ) -> None:
-        if mode is None:
-            mode = "lazy" if lazy else "argmax"
-        if mode not in GREEDY_MODES:
-            raise SchedulingError(
-                f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
-            )
-        if not 0.0 < sample_epsilon < 1.0:
-            raise SchedulingError(
-                f"sample_epsilon must be in (0, 1), got {sample_epsilon!r}"
-            )
+        validate_greedy_options(mode, sample_epsilon)
         self.mode = mode
-        #: Back-compat view of ``mode``: every non-argmax mode uses
-        #: accelerated evaluation.
-        self.lazy = mode != "argmax"
         self.min_gain = min_gain
         self.backend = backend
         self.sample_epsilon = sample_epsilon
         self.seed = seed
         self.rng = rng
-        self.representation = representation
         self.metrics = metrics if metrics is not None else get_metrics()
         # Evaluation counts are accumulated locally inside the loops and
         # reported once per solve, so instrumentation stays off the
@@ -223,19 +220,15 @@ class GreedyScheduler:
     # ------------------------------------------------------------------
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Compute a schedule for every user of ``problem``."""
-        objective_kwargs = (
-            {"representation": self.representation}
-            if self.representation is not None
-            else {}
-        )
-        if self.mode == "stochastic":
-            # The sampling loop only scores O((N/B)·log(1/ε)) candidates
-            # per pick via the batched ``gains_at``, so the numpy
-            # backend's per-add full-band gains maintenance would be
-            # pure overhead — turn it off.
-            objective_kwargs["maintain_gains"] = False
+        # The sampling loop only scores O((N/B)·log(1/ε)) candidates per
+        # pick via the batched ``gains_at``, so in stochastic mode the
+        # numpy backend's per-add full-band gains maintenance would be
+        # pure overhead — turn it off.
         objective = make_objective(
-            problem.period, problem.kernel, self.backend, **objective_kwargs
+            problem.period,
+            problem.kernel,
+            self.backend,
+            maintain_gains=self.mode != "stochastic",
         )
         num_users = len(problem.users)
         remaining = np.array(
@@ -289,19 +282,13 @@ class GreedyScheduler:
                 problem, objective, pick_state, remaining, available, assigned,
                 rng,
             )
-        elif self.lazy and not getattr(objective, "maintains_gains", False):
-            evaluations = self._run_lazy(
+        elif objective.maintains_gains:
+            evaluations = self._run_argmax(
                 problem, objective, pick_state, remaining, available, assigned
             )
         else:
-            evaluations = self._run_argmax(
-                problem,
-                objective,
-                pick_state,
-                remaining,
-                available,
-                assigned,
-                dense=self.lazy,
+            evaluations = self._run_lazy(
+                problem, objective, pick_state, remaining, available, assigned
             )
         schedule = Schedule(
             problem=problem,
@@ -312,8 +299,7 @@ class GreedyScheduler:
             objective_value=objective.value(),
         )
         schedule.validate()
-        strategy = {"lazy": "lazy", "argmax": "naive"}.get(self.mode, self.mode)
-        self._m_evaluations.inc(evaluations, strategy=strategy)
+        self._m_evaluations.inc(evaluations, strategy=self.mode)
         self._m_selected.inc(sum(len(instants) for instants in assigned.values()))
         self._m_coverage.set(schedule.average_coverage)
         return schedule
@@ -387,26 +373,22 @@ class GreedyScheduler:
         return False
 
     # ------------------------------------------------------------------
-    # argmax loop (paper-literal, and the dense maintained-gains path)
+    # masked-argmax loop (objectives that maintain their gains)
     # ------------------------------------------------------------------
     def _run_argmax(
         self,
         problem: SchedulingProblem,
-        objective: AnyCoverageObjective,
+        objective: CoverageObjective,
         pick_state: _PickState,
         remaining: np.ndarray,
         available: np.ndarray,
         assigned: dict[int, set[int]],
-        *,
-        dense: bool,
     ) -> int:
         """Masked argmax per pick; returns the number of gain evaluations.
 
-        ``dense=False`` is the paper-literal loop: every instant's gain
-        is (re)computed each iteration via ``gains_all`` and counted as
-        an evaluation. ``dense=True`` reads the objective's maintained
-        gains array in place — nothing is re-evaluated, so only the one
-        committed read per pick is counted.
+        Reads the objective's maintained gains array in place — nothing
+        is re-evaluated, so only the one committed read per pick is
+        counted.
         """
         evaluations = 0
         pooled: set[int] = set()
@@ -415,12 +397,8 @@ class GreedyScheduler:
         # that signal instead of being recomputed every pick.
         feasible_mask = available > 0
         while True:
-            if dense:
-                gains = objective.current_gains
-                evaluations += 1
-            else:
-                gains = objective.gains_all()
-                evaluations += problem.period.num_instants
+            gains = objective.current_gains
+            evaluations += 1
             masked = np.where(feasible_mask, gains, -np.inf)
             best = argmax_tied_low(masked)
             if masked[best] < self.min_gain:
@@ -505,12 +483,13 @@ class GreedyScheduler:
         value, so the ``(1 − 1/e − ε)`` expectation bound is untouched.
         """
         num_instants = problem.period.num_instants
-        maintained = getattr(objective, "maintains_gains", False)
-        # The numpy backend scores an arbitrary candidate set in one
-        # banded matvec (duplicates from the with-replacement draw are
-        # scored twice — cheaper than deduplicating); the reference
-        # backend pays a scalar ``gain()`` per candidate, so that path
-        # deduplicates first.
+        # Neither backend maintains gains here (``solve`` turns the numpy
+        # backend's maintenance off for this mode). The numpy backend
+        # scores an arbitrary candidate set in one banded matvec
+        # (duplicates from the with-replacement draw are scored twice —
+        # cheaper than deduplicating); the reference backend pays a
+        # scalar ``gain()`` per candidate, so that path deduplicates
+        # first.
         gains_at = getattr(objective, "gains_at", None)
         pooled: set[int] = set()
         evaluations = 0
@@ -552,12 +531,7 @@ class GreedyScheduler:
                 # np.unique also sorts ascending, giving this path a
                 # lowest-index tie-break under argmax_tied_low.
                 candidates = np.unique(candidates)
-                if maintained:
-                    gains = objective.current_gains[candidates]
-                else:
-                    gains = np.array(
-                        [objective.gain(int(c)) for c in candidates]
-                    )
+                gains = np.array([objective.gain(int(c)) for c in candidates])
             samples_drawn += int(draws.size)
             evaluations += int(candidates.size)
             committed = False
@@ -610,14 +584,10 @@ class GreedyScheduler:
                         break
             if not committed:
                 fallbacks += 1
-                if maintained:
-                    gains_full = objective.current_gains
-                    evaluations += 1
-                else:
-                    # One exact sweep (the numpy backend recomputes the
-                    # whole band; the reference walks every instant).
-                    gains_full = objective.gains_all()
-                    evaluations += num_instants
+                # One exact sweep (the numpy backend recomputes the whole
+                # band; the reference walks every instant).
+                gains_full = objective.gains_all()
+                evaluations += num_instants
                 masked = np.where(feasible_mask, gains_full, -np.inf)
                 for candidate in np.argsort(-masked, kind="stable"):
                     if (
@@ -667,7 +637,12 @@ class GreedyScheduler:
         available: np.ndarray,
         assigned: dict[int, set[int]],
     ) -> int:
-        """Lazy-heap loop; returns the number of gain (re-)evaluations."""
+        """Lazy-heap loop; returns the number of gain (re-)evaluations.
+
+        The exact path for objectives that recompute gains on demand
+        (the scalar reference): one full sweep to seed the heap, then
+        only stale tops are re-evaluated.
+        """
         num_instants = problem.period.num_instants
         pooled: set[int] = set()
         gains = objective.gains_all()
@@ -675,7 +650,7 @@ class GreedyScheduler:
         # Heap entries: (-gain, instant). Stale entries are re-evaluated
         # on pop; submodularity guarantees true gains never exceed stale
         # ones, so the first up-to-date top is the argmax. Tie-break on
-        # instant index matches np.argmax in the naive loop.
+        # instant index matches the masked-argmax loop.
         heap: list[tuple[float, int]] = [
             (-gains[instant], instant)
             for instant in range(num_instants)
@@ -699,7 +674,7 @@ class GreedyScheduler:
                     continue
                 if -current_gain == next_key and next_index < instant_index:
                     # Exact tie: defer to the lower index, matching the
-                    # naive variant's stable argsort tie-break.
+                    # masked-argmax loop's tie-break.
                     heapq.heappush(heap, (-current_gain, instant_index))
                     continue
             if current_gain < self.min_gain:

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import SchedulingError, ValidationError
+from repro.common.errors import ValidationError
 from repro.core.scheduling.coverage import CoverageKernel
 from repro.core.scheduling.greedy import (
-    GREEDY_MODES,
     argmax_tied_low,
     stochastic_sample_size,
+    validate_greedy_options,
 )
 from repro.core.scheduling.objective import DEFAULT_BACKEND, make_objective
 from repro.core.scheduling.problem import Schedule, SchedulingPeriod, SchedulingProblem
@@ -59,7 +59,6 @@ class MultiKernelObjective:
         features: list[FeatureKernel],
         *,
         backend: str = DEFAULT_BACKEND,
-        representation: str | None = None,
     ) -> None:
         if not features:
             raise ValidationError("need at least one feature kernel")
@@ -69,12 +68,8 @@ class MultiKernelObjective:
         self.period = period
         self.features = list(features)
         self.backend = backend
-        objective_kwargs = (
-            {"representation": representation} if representation is not None else {}
-        )
         self._objectives = [
-            make_objective(period, feature.kernel, backend, **objective_kwargs)
-            for feature in features
+            make_objective(period, feature.kernel, backend) for feature in features
         ]
 
     @property
@@ -127,24 +122,19 @@ class MultiKernelGreedyScheduler:
         *,
         min_gain: float = 1e-12,
         backend: str = DEFAULT_BACKEND,
-        mode: str = "argmax",
+        mode: str = "exact",
         sample_epsilon: float = 0.1,
         seed: int = 2014,
-        representation: str | None = None,
     ) -> None:
         if not features:
             raise ValidationError("need at least one feature kernel")
-        if mode not in GREEDY_MODES:
-            raise SchedulingError(
-                f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
-            )
+        validate_greedy_options(mode, sample_epsilon)
         self.features = list(features)
         self.min_gain = min_gain
         self.backend = backend
         self.mode = mode
         self.sample_epsilon = sample_epsilon
         self.seed = seed
-        self.representation = representation
 
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Schedule ``problem``'s users against the blended objective.
@@ -158,10 +148,7 @@ class MultiKernelGreedyScheduler:
         stochastic = self.mode == "stochastic"
         rng = np.random.default_rng(self.seed) if stochastic else None
         objective = MultiKernelObjective(
-            problem.period,
-            self.features,
-            backend=self.backend,
-            representation=self.representation,
+            problem.period, self.features, backend=self.backend
         )
         remaining = [user.budget for user in problem.users]
         available = np.zeros(problem.period.num_instants, dtype=np.int64)
@@ -192,7 +179,7 @@ class MultiKernelGreedyScheduler:
                 if gains[pick] >= self.min_gain:
                     best = int(candidates[pick])
             if best is None:
-                # argmax mode, or a dry stochastic sample: exact sweep.
+                # exact mode, or a dry stochastic sample: exact sweep.
                 gains = objective.gains_fast()
                 masked = np.where(available > 0, gains, -np.inf)
                 best = argmax_tied_low(masked)

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import SchedulingError
 from repro.core.scheduling.greedy import (
-    GREEDY_MODES,
     argmax_tied_low,
     stochastic_sample_size,
+    validate_greedy_options,
 )
 from repro.core.scheduling.objective import DEFAULT_BACKEND, make_objective
 from repro.core.scheduling.problem import Schedule, SchedulingProblem
@@ -59,21 +58,16 @@ class PerUserGreedyScheduler:
         *,
         min_gain: float = 1e-12,
         backend: str = DEFAULT_BACKEND,
-        mode: str = "argmax",
+        mode: str = "exact",
         sample_epsilon: float = 0.1,
         seed: int = 2014,
-        representation: str | None = None,
     ) -> None:
-        if mode not in GREEDY_MODES:
-            raise SchedulingError(
-                f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
-            )
+        validate_greedy_options(mode, sample_epsilon)
         self.min_gain = min_gain
         self.backend = backend
         self.mode = mode
         self.sample_epsilon = sample_epsilon
         self.seed = seed
-        self.representation = representation
 
     def solve(self, problem: SchedulingProblem) -> Schedule:
         """Schedule every user independently; returns the combined plan.
@@ -85,18 +79,11 @@ class PerUserGreedyScheduler:
         """
         stochastic = self.mode == "stochastic"
         rng = np.random.default_rng(self.seed) if stochastic else None
-        objective_kwargs = (
-            {"representation": self.representation}
-            if self.representation is not None
-            else {}
-        )
         assignments: dict[str, list[int]] = {}
         total = 0.0
         for user_index, user in enumerate(problem.users):
             lo, hi = problem.user_window(user_index)
-            objective = make_objective(
-                problem.period, problem.kernel, self.backend, **objective_kwargs
-            )
+            objective = make_objective(problem.period, problem.kernel, self.backend)
             sample_size = stochastic_sample_size(
                 hi - lo, user.budget, self.sample_epsilon
             )

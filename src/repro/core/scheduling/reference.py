@@ -89,7 +89,7 @@ class ReferenceCoverageObjective:
     """
 
     backend = "reference"
-    #: Gains are recomputed on demand — schedulers keep the lazy heap.
+    #: Gains are recomputed on demand — the exact greedy runs the lazy heap.
     maintains_gains = False
 
     def __init__(self, period: SchedulingPeriod, kernel: CoverageKernel) -> None:

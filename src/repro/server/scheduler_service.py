@@ -22,12 +22,12 @@ from repro.common.clock import Clock
 from repro.common.errors import SchedulingError
 from repro.core.scheduling import (
     DEFAULT_BACKEND,
-    GREEDY_MODES,
     GaussianKernel,
     SchedulingPeriod,
     argmax_tied_low,
     make_objective,
     stochastic_sample_size,
+    validate_greedy_options,
 )
 from repro.obs import MetricsRegistry, Tracer, get_metrics, get_tracer
 from repro.server.app_manager import Application
@@ -42,7 +42,7 @@ class _AppSchedulerState:
         application: Application,
         backend: str = DEFAULT_BACKEND,
         *,
-        mode: str = "argmax",
+        mode: str = "exact",
         sample_epsilon: float = 0.1,
         seed: int = 2014,
     ) -> None:
@@ -125,16 +125,13 @@ class SensingSchedulerService:
         clock: Clock,
         *,
         backend: str = DEFAULT_BACKEND,
-        mode: str = "argmax",
+        mode: str = "exact",
         sample_epsilon: float = 0.1,
         seed: int = 2014,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if mode not in GREEDY_MODES:
-            raise SchedulingError(
-                f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}"
-            )
+        validate_greedy_options(mode, sample_epsilon)
         self.participation = participation
         self.clock = clock
         self.backend = backend

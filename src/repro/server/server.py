@@ -70,7 +70,7 @@ class SensingServer:
         ranking_cache: bool = True,
         ranking_cache_capacity: int = 256,
         scheduler_backend: str = DEFAULT_BACKEND,
-        scheduler_mode: str = "argmax",
+        scheduler_mode: str = "exact",
         durability: DurabilityConfig | None = None,
         concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,

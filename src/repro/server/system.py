@@ -110,7 +110,7 @@ class SORSystem:
         concurrency: ConcurrencyConfig | None = None,
         io_delay_s: float = 0.0,
         scheduler_backend: str = DEFAULT_BACKEND,
-        scheduler_mode: str = "argmax",
+        scheduler_mode: str = "exact",
         ranking_cache: bool = True,
     ) -> None:
         if num_servers < 1:

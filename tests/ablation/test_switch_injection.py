@@ -29,7 +29,7 @@ from repro.common.errors import AblationError
 from repro.core.scheduling import GreedyScheduler
 from repro.server.system import SORSystem
 
-GREEDY_SWITCHES = ("backend", "lazy_greedy")
+GREEDY_SWITCHES = ("backend",)
 STOCHASTIC_SWITCHES = ("stochastic",)
 SERVER_SWITCHES = ("backend", "ranking_cache", "durability", "concurrency")
 SYSTEM_SWITCHES = SERVER_SWITCHES + ("resilient",)
@@ -113,10 +113,6 @@ class TestRegistryCoverage:
 
 
 class TestApplyHelpers:
-    def test_bad_lazy_mode_raises(self):
-        with pytest.raises(AblationError, match="lazy_greedy"):
-            greedy_kwargs({"lazy_greedy": "eager"})
-
     def test_durability_requires_directory(self):
         with pytest.raises(AblationError, match="durability_dir"):
             server_kwargs({"durability": "on"})
@@ -131,7 +127,7 @@ class TestApplyHelpers:
             "ranking_cache": True,
             "resilient": True,
         }
-        assert greedy_kwargs({}) == {"backend": "numpy", "lazy": True}
+        assert greedy_kwargs({}) == {"backend": "numpy"}
         assert stochastic_greedy_kwargs({}) == {
             "backend": "numpy",
             "mode": "stochastic",
@@ -142,10 +138,7 @@ class TestApplyHelpers:
         with pytest.raises(AblationError, match="stochastic"):
             stochastic_greedy_kwargs({"stochastic": "maybe"})
 
-    def test_ablated_stochastic_follows_lazy_greedy(self):
-        """The no-stochastic twin runs the exact mode lazy_greedy picks."""
-        kwargs = stochastic_greedy_kwargs(
-            {"stochastic": "off", "lazy_greedy": "argmax"}
-        )
-        assert kwargs["mode"] == "argmax"
-        assert stochastic_greedy_kwargs({"stochastic": "off"})["mode"] == "lazy"
+    def test_ablated_stochastic_falls_back_to_exact(self):
+        """The no-stochastic twin runs the exact greedy."""
+        kwargs = stochastic_greedy_kwargs({"stochastic": "off"})
+        assert kwargs["mode"] == "exact"

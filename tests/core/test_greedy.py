@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.clock import ManualClock
+from repro.common.errors import SchedulingError
 from repro.core.scheduling import (
+    FeatureKernel,
     GaussianKernel,
     GreedyScheduler,
     MobileUser,
+    MultiKernelGreedyScheduler,
+    PerUserGreedyScheduler,
     SchedulingPeriod,
     SchedulingProblem,
     average_coverage,
     brute_force_optimal,
 )
+from repro.net import NetworkConditions
+from repro.net.transport import Network
+from repro.server import SensingServer
+from repro.server.scheduler_service import SensingSchedulerService
+from repro.server.system import SORSystem
 
 
 def random_problem(rng, *, num_instants=12, duration=120.0, users=3, max_budget=3):
@@ -72,23 +82,6 @@ class TestBasics:
         assert matroid.is_independent(elements)
 
 
-class TestLazyEqualsNaive:
-    def test_paper_scale_identical(self, paper_problem):
-        lazy = GreedyScheduler(lazy=True).solve(paper_problem)
-        naive = GreedyScheduler(lazy=False).solve(paper_problem)
-        assert lazy.assignments == naive.assignments
-        assert lazy.objective_value == pytest.approx(naive.objective_value)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_random_instances_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        problem = random_problem(rng, num_instants=30, duration=300.0, users=4)
-        lazy = GreedyScheduler(lazy=True).solve(problem)
-        naive = GreedyScheduler(lazy=False).solve(problem)
-        assert lazy.assignments == naive.assignments
-
-
 class TestApproximationGuarantee:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -128,8 +121,9 @@ class TestMinGain:
 class TestTieBreaking:
     """The explicit lowest-index tie-break contract (regression tests).
 
-    Both backends and both strategies must land on the same instant when
-    marginal gains tie exactly — otherwise cross-backend schedules
+    Both backends' exact loops (the numpy masked argmax and the
+    reference lazy heap) must land on the same instant when marginal
+    gains tie exactly — otherwise cross-backend schedules
     diverge on the first plateau (uniform gains at step 0 are the
     everyday case: every instant of an empty schedule gains w_0).
     """
@@ -149,15 +143,12 @@ class TestTieBreaking:
         users = [MobileUser("u", 0, 1000, 4)]
         problem = SchedulingProblem(period, users, GaussianKernel(sigma=1e-6))
         for backend in ("numpy", "reference"):
-            for lazy in (True, False):
-                schedule = GreedyScheduler(backend=backend, lazy=lazy).solve(
-                    problem
-                )
-                assert schedule.assignments["u"] == [0, 1, 2, 3], (backend, lazy)
+            schedule = GreedyScheduler(backend=backend).solve(problem)
+            assert schedule.assignments["u"] == [0, 1, 2, 3], backend
 
     def test_symmetric_problem_is_deterministic_across_variants(self):
         # Mirror-symmetric setup: gains tie in symmetric pairs at every
-        # step. All four scheduler variants and a re-run must agree.
+        # step. Both backends and a re-run must agree.
         period = SchedulingPeriod(0.0, 600.0, 24)
         users = [
             MobileUser("a", 0, 600, 3),
@@ -165,10 +156,61 @@ class TestTieBreaking:
         ]
         problem = SchedulingProblem(period, users, GaussianKernel(sigma=60.0))
         schedules = [
-            GreedyScheduler(backend=backend, lazy=lazy).solve(problem)
+            GreedyScheduler(backend=backend).solve(problem)
             for backend in ("numpy", "reference")
-            for lazy in (True, False)
         ]
         schedules.append(GreedyScheduler().solve(problem))
         for other in schedules[1:]:
             assert other.assignments == schedules[0].assignments
+
+
+def _make_multikernel(**kwargs):
+    return MultiKernelGreedyScheduler(
+        [FeatureKernel("noise", GaussianKernel(sigma=20.0))], **kwargs
+    )
+
+
+def _make_service(**kwargs):
+    # Option validation runs before the service touches its
+    # participation manager or clock.
+    return SensingSchedulerService(None, None, **kwargs)
+
+
+SCHEDULER_FACTORIES = [
+    pytest.param(GreedyScheduler, id="greedy"),
+    pytest.param(PerUserGreedyScheduler, id="per_user"),
+    pytest.param(_make_multikernel, id="multikernel"),
+    pytest.param(_make_service, id="service"),
+]
+
+
+class TestOptionValidation:
+    """Every entry point validates its greedy options up front."""
+
+    @pytest.mark.parametrize("factory", SCHEDULER_FACTORIES)
+    @pytest.mark.parametrize("epsilon", [0.0, -0.2, 1.0, 1.5, float("nan")])
+    def test_sample_epsilon_outside_open_unit_interval_rejected(
+        self, factory, epsilon
+    ):
+        with pytest.raises(SchedulingError, match="sample_epsilon"):
+            factory(sample_epsilon=epsilon)
+
+    def test_retired_modes_and_lazy_keyword_rejected_everywhere(self):
+        def make_server(**kwargs):
+            network = Network(
+                conditions=NetworkConditions(), rng=np.random.default_rng(0)
+            )
+            return SensingServer("server", network, ManualClock(), **kwargs)
+
+        def make_system(**kwargs):
+            return SORSystem(seed=0, **kwargs)
+
+        entry_points = [
+            (param.values[0], "mode") for param in SCHEDULER_FACTORIES
+        ] + [(make_server, "scheduler_mode"), (make_system, "scheduler_mode")]
+        for factory, option in entry_points:
+            for retired in ("lazy", "argmax"):
+                with pytest.raises(SchedulingError, match="unknown greedy mode"):
+                    factory(**{option: retired})
+            with pytest.raises(TypeError, match="lazy"):
+                factory(lazy=True)

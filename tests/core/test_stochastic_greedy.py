@@ -179,7 +179,7 @@ class TestGuarantees:
     @settings(max_examples=25, deadline=None)
     def test_value_within_epsilon_of_exact_greedy(self, problem):
         epsilon = 0.1
-        exact = GreedyScheduler(mode="lazy").solve(problem)
+        exact = GreedyScheduler(mode="exact").solve(problem)
         sampled = GreedyScheduler(
             mode="stochastic", sample_epsilon=epsilon, seed=7
         ).solve(problem)
