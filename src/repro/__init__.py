@@ -11,7 +11,8 @@ Top-level layout:
 * :mod:`repro.sensors`, :mod:`repro.net`, :mod:`repro.db`,
   :mod:`repro.barcode`, :mod:`repro.sim` — the substrates,
 * :mod:`repro.experiments` — one module per paper table/figure,
-* ``python -m repro <artefact>`` — regenerate any of them from the shell.
+* ``python -m repro <command>`` — regenerate any of them, or run a system
+  scenario, from the shell (one subcommand per job; see :mod:`repro.cli`).
 """
 
 __version__ = "1.0.0"

@@ -32,7 +32,6 @@ from repro.ablation.report import (
     EFFECT_PREFIX,
     baseline_bench_json,
     format_report,
-    render,
     to_bench_json,
 )
 from repro.ablation.runner import (
@@ -67,7 +66,6 @@ __all__ = [
     "effective_system_values",
     "format_report",
     "greedy_kwargs",
-    "render",
     "run_ablation",
     "server_kwargs",
     "stochastic_greedy_kwargs",

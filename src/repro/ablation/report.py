@@ -2,7 +2,7 @@
 
 Two consumers, two formats:
 
-* :func:`format_report` — the ``--format table`` text a person reads:
+* :func:`format_report` — the ``--format text`` output a person reads:
   the ranked importance table plus the raw per-config metrics;
 * :func:`to_bench_json` — the canonical metric schema
   ``benchmarks/compare_bench.py`` already understands. Every gated
@@ -15,7 +15,6 @@ Two consumers, two formats:
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.ablation.runner import AblationReport
@@ -90,11 +89,3 @@ def format_report(report: AblationReport) -> str:
         )
     return "\n".join(lines)
 
-
-def render(report: AblationReport, fmt: str) -> str:
-    """Dispatch ``--format``; unknown formats raise ``ValueError``."""
-    if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    if fmt == "table":
-        return format_report(report)
-    raise ValueError(f"unknown ablation report format {fmt!r}")

@@ -1,11 +1,17 @@
-"""Command-line interface: reproduce any paper artefact from the shell.
+"""Command-line interface: one subcommand per paper artefact or scenario.
 
 Usage::
 
     python -m repro table1            # Table I rankings
     python -m repro fig14a --runs 10  # Fig. 14(a) sweep
-    python -m repro all               # everything, in paper order
+    python -m repro all               # every paper artefact, in paper order
     python -m repro obs               # end-to-end run + metrics dump
+    python -m repro <command> --help  # the flags that command reads
+
+Paper artefacts: ``fig6 table1 fig10 table2 fig14a fig14b all``.
+System scenarios: ``obs rank crash loadgen shardchaos ablate``.
+Each subcommand accepts only the flags its handler reads; invalid
+values are reported as ``repro <command>: error: …`` with exit status 2.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
 
+from repro.common.errors import AblationError, ValidationError
 from repro.experiments.fig6_trail_features import format_fig6, run_fig6
 from repro.experiments.fig10_shop_features import format_fig10, run_fig10
 from repro.experiments.fig14_scheduling import (
@@ -24,6 +30,13 @@ from repro.experiments.fig14_scheduling import (
 )
 from repro.experiments.table1_trail_rankings import format_table1, run_table1
 from repro.experiments.table2_shop_rankings import format_table2, run_table2
+
+# Every command's default --seed, except the Fig. 14 sweeps which use
+# seed 0 by convention.
+_PAPER_SEED = 2014
+_SCHEDULING_SEED = 0
+# What `repro all` regenerates, in paper order.
+_PAPER_ARTEFACTS = ("fig6", "table1", "fig10", "table2", "fig14a", "fig14b")
 
 
 def _cmd_fig6(args: argparse.Namespace) -> str:
@@ -56,6 +69,24 @@ def _cmd_fig14b(args: argparse.Namespace) -> str:
     )
 
 
+def _cmd_all(args: argparse.Namespace) -> str:
+    """Every paper artefact in paper order.
+
+    Each artefact runs with its own subcommand's defaults; ``--seed``
+    (when given) and ``--runs`` override them.
+    """
+    parser = build_parser()
+    sections = []
+    for name in _PAPER_ARTEFACTS:
+        own = parser.parse_args([name])
+        if args.seed is not None:
+            own.seed = args.seed
+        if "runs" in own:
+            own.runs = args.runs
+        sections.append(f"\n{'=' * 20} {name} {'=' * 20}\n{own.run(own)}")
+    return "\n".join(sections)
+
+
 def _cmd_obs(args: argparse.Namespace) -> str:
     """Run the end-to-end experiment and dump the metrics registry.
 
@@ -81,25 +112,11 @@ def _cmd_rank(args: argparse.Namespace) -> str:
     query and is served entirely from the cache, which the trailing
     stats line makes visible.
     """
-    import numpy as np
+    from repro.experiments.end_to_end import deploy_coffee_shops
+    from repro.sim.scenarios import customer_profiles
 
-    from repro.server import SORSystem
-    from repro.sim.scenarios import (
-        customer_profiles,
-        shop_feature_pipeline,
-        syracuse_coffee_shops,
-    )
-
-    system = SORSystem(seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    for shop in syracuse_coffee_shops(rng):
-        system.deploy_place(shop, shop_feature_pipeline())
-        for _ in range(3):
-            system.deploy_phone(shop.place_id, budget=10)
-    system.run()
-    profiles = customer_profiles()
-    system.process_and_rank("coffee_shop", profiles)
-    reports = system.server.ranker.rank_many("coffee_shop", profiles)
+    system, _ = deploy_coffee_shops(seed=args.seed, phones_per_shop=3, budget=10)
+    reports = system.server.ranker.rank_many("coffee_shop", customer_profiles())
     names = {
         place_id: deployed.place.name
         for place_id, deployed in system.places.items()
@@ -228,7 +245,7 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
     from repro.ablation import (
         AblationSpec,
         default_registry,
-        render,
+        format_report,
         run_ablation,
         to_bench_json,
     )
@@ -249,8 +266,9 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
         Path(args.out).write_text(
             json.dumps(to_bench_json(report), indent=2, sort_keys=True) + "\n"
         )
-    fmt = "table" if args.format == "text" else args.format
-    return render(report, fmt)
+    if args.format == "json":
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    return format_report(report)
 
 
 def _cmd_shardchaos(args: argparse.Namespace) -> str:
@@ -273,10 +291,10 @@ def _cmd_shardchaos(args: argparse.Namespace) -> str:
     )
 
     spec = ShardChaosSpec(
-        phones=args.phones if args.phones != 10000 else 120,
-        shards=args.shards if args.shards > 1 else 4,
-        replicas=max(args.replicas, 1),
-        categories=args.categories if args.categories > 1 else 8,
+        phones=args.phones,
+        shards=args.shards,
+        replicas=args.replicas,
+        categories=args.categories,
         seed=args.seed,
         kill_shard=args.kill_shard,
         kills=args.kills,
@@ -294,166 +312,117 @@ def _cmd_shardchaos(args: argparse.Namespace) -> str:
     return format_shard_chaos_report(report)
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], str]] = {
-    "fig6": _cmd_fig6,
-    "table1": _cmd_table1,
-    "fig10": _cmd_fig10,
-    "table2": _cmd_table2,
-    "fig14a": _cmd_fig14a,
-    "fig14b": _cmd_fig14b,
-    "obs": _cmd_obs,
-    "rank": _cmd_rank,
-    "crash": _cmd_crash,
-    "loadgen": _cmd_loadgen,
-    "shardchaos": _cmd_shardchaos,
-    "ablate": _cmd_ablate,
-}
+def _number_flag(
+    parser: argparse.ArgumentParser, flag: str, default: int | float, text: str
+) -> None:
+    parser.add_argument(
+        flag, type=type(default), default=default, help=f"{text} (default {default})"
+    )
+
+
+def _format_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="output format (default: text)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Reproduce the SOR paper's tables and figures.",
+        description="Reproduce the SOR paper's tables and figures and run "
+        "the system scenarios. See 'repro <command> --help'.",
     )
-    parser.add_argument(
-        "artefact",
-        choices=sorted(_COMMANDS) + ["all"],
-        help="which paper artefact to regenerate",
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, metavar="<command>"
     )
-    parser.add_argument(
-        "--seed", type=int, default=2014, help="root random seed (default 2014)"
+
+    def command(name, run, text, seed=_PAPER_SEED):
+        sub = subparsers.add_parser(name, help=text, description=text)
+        shown = "each artefact's own" if seed is None else seed
+        sub.add_argument(
+            "--seed", type=int, default=seed,
+            help=f"root random seed (default: {shown})",
+        )
+        sub.set_defaults(run=run, usage_error=sub.error)
+        return sub
+
+    command("fig6", _cmd_fig6, "Fig. 6: hiking-trail feature values")
+    command("table1", _cmd_table1, "Table I: hiking-trail rankings")
+    command("fig10", _cmd_fig10, "Fig. 10: coffee-shop feature values")
+    command("table2", _cmd_table2, "Table II: coffee-shop rankings")
+    for name, run, text, seed in (
+        ("fig14a", _cmd_fig14a, "Fig. 14(a): coverage vs number of users",
+         _SCHEDULING_SEED),
+        ("fig14b", _cmd_fig14b, "Fig. 14(b): coverage vs sensing budget",
+         _SCHEDULING_SEED),
+        ("all", _cmd_all, "every paper artefact, in paper order", None),
+    ):
+        sub = command(name, run, text, seed)
+        _number_flag(sub, "--runs", 10, "runs per Fig. 14 sweep point (paper: 10)")
+
+    _format_flag(
+        command("obs", _cmd_obs, "end-to-end run, then dump the metrics registry")
     )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=10,
-        help="runs per sweep point for fig14a/fig14b (paper: 10)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "table"),
-        default="text",
-        help="output format for the obs/ablate commands ('text' means "
-        "'table' for ablate; default: text)",
-    )
-    parser.add_argument(
-        "--kills",
-        type=int,
-        default=2,
-        help="server kills for the crash command / kill-promote-reseed "
-        "cycles for shardchaos (default 2)",
-    )
-    parser.add_argument(
+    command("rank", _cmd_rank, "coffee-shop rankings served twice (cache stats)")
+
+    sub = command("crash", _cmd_crash, "kill the server mid-run, audit acked data")
+    _number_flag(sub, "--kills", 2, "server kills")
+    sub.add_argument(
         "--durability-dir",
-        default=None,
-        help="where the crash command keeps WAL + checkpoints "
-        "(default: a temporary directory)",
+        help="where WAL + checkpoints live (default: a temporary directory)",
     )
-    parser.add_argument(
-        "--no-durability",
-        action="store_true",
-        help="run the crash command without the durability layer "
-        "(demonstrates data loss)",
+    sub.add_argument(
+        "--no-durability", action="store_true",
+        help="run without the durability layer (demonstrates data loss)",
     )
-    parser.add_argument(
-        "--phones",
-        type=int,
-        default=10000,
-        help="phone population for the loadgen command (default 10000)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("concurrent", "sequential", "compare"),
+
+    sub = command("loadgen", _cmd_loadgen, "drive the server with a seeded load mix")
+    _format_flag(sub)
+    _number_flag(sub, "--phones", 10000, "phone population")
+    sub.add_argument(
+        "--mode", choices=("concurrent", "sequential", "compare"),
         default="concurrent",
-        help="loadgen execution mode; 'compare' runs both and reports "
-        "the speedup (default: concurrent)",
+        help="execution mode; 'compare' runs both and reports the speedup "
+        "(default: concurrent)",
     )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="loadgen driver threads (default 8)",
+    _number_flag(sub, "--clients", 8, "driver threads")
+    _number_flag(sub, "--workers", 8, "server worker pool size")
+    _number_flag(sub, "--queue-capacity", 64, "server admission queue bound")
+    _number_flag(sub, "--io-delay-ms", 0.2, "simulated per-request socket/disk ms")
+    _number_flag(sub, "--shards", 1, "shard count; more than 1 drives a "
+                 "ShardCluster through its router")
+    _number_flag(sub, "--replicas", 1, "read-replicas per shard")
+    _number_flag(sub, "--categories", 1, "rankable categories the places split into")
+    _number_flag(sub, "--places", 0, "places; 0 means at least 8, grown so every "
+                 "category keeps two rankable places")
+
+    sub = command(
+        "shardchaos", _cmd_shardchaos, "kill shard primaries mid-run, audit acked data"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="server worker pool size for loadgen (default 8)",
-    )
-    parser.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=64,
-        help="server admission queue bound for loadgen (default 64)",
-    )
-    parser.add_argument(
-        "--io-delay-ms",
-        type=float,
-        default=0.2,
-        help="simulated per-request socket/disk milliseconds for "
-        "loadgen (default 0.2)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard count for loadgen/shardchaos; loadgen with more "
-        "than 1 drives a ShardCluster through its router (default 1)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="read-replicas per shard for sharded loadgen/shardchaos "
-        "(default 1)",
-    )
-    parser.add_argument(
-        "--categories",
-        type=int,
-        default=1,
-        help="rankable categories the places split into for "
-        "loadgen/shardchaos (default 1)",
-    )
-    parser.add_argument(
-        "--places",
-        type=int,
-        default=0,
-        help="places for loadgen (0 = auto: at least 8, grown so every "
-        "category keeps two rankable places)",
-    )
-    parser.add_argument(
-        "--kill-shard",
-        type=int,
-        default=1,
-        help="index of the shard whose primary shardchaos kills "
-        "(default 1)",
-    )
-    parser.add_argument(
+    _format_flag(sub)
+    _number_flag(sub, "--phones", 120, "phone population")
+    _number_flag(sub, "--shards", 4, "shard count")
+    _number_flag(sub, "--replicas", 1, "read-replicas per shard")
+    _number_flag(sub, "--categories", 8, "rankable categories")
+    _number_flag(sub, "--kill-shard", 1, "index of the shard whose primary is killed")
+    _number_flag(sub, "--kills", 2, "kill-promote-reseed cycles")
+
+    sub = command("ablate", _cmd_ablate, "leave-one-out ablation matrix + ranking")
+    _format_flag(sub)
+    sub.add_argument(
         "--components",
-        default=None,
-        help="comma-separated switch subset for the ablate command "
-        "(default: every registered switch)",
+        help="comma-separated switch subset (default: every registered switch)",
     )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=2,
-        help="timed repetitions per benchmark cell for ablate, "
-        "best-of (default 2)",
+    _number_flag(sub, "--repeat", 2, "timed repetitions per benchmark cell, best-of")
+    sub.add_argument(
+        "--out", help="also write the canonical BENCH_ablation.json gate document here"
     )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="also write the canonical BENCH_ablation.json gate "
-        "document here (ablate command)",
-    )
-    parser.add_argument(
-        "--invert",
-        default=None,
-        metavar="SWITCH",
+    sub.add_argument(
+        "--invert", metavar="SWITCH",
         help="swap SWITCH's baseline/ablated values to demonstrate an "
-        "importance inversion failing the gate (ablate command)",
+        "importance inversion failing the gate",
     )
     return parser
 
@@ -461,17 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.artefact == "all":
-        names = ["fig6", "table1", "fig10", "table2", "fig14a", "fig14b"]
-    else:
-        names = [args.artefact]
-    for name in names:
-        if len(names) > 1:
-            print(f"\n{'=' * 20} {name} {'=' * 20}")
-        # Scheduling figures use seed 0 by convention unless overridden.
-        if name.startswith("fig14") and args.seed == 2014:
-            args_for = argparse.Namespace(**{**vars(args), "seed": 0})
-        else:
-            args_for = args
-        print(_COMMANDS[name](args_for))
+    try:
+        output = args.run(args)
+    except (ValidationError, AblationError) as exc:
+        args.usage_error(str(exc))
+    print(output)
     return 0

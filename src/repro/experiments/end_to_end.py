@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.ranking import Ranking
 from repro.server import SORSystem
+from repro.server.ranker_service import RankingReport
 from repro.sim.scenarios import (
     customer_profiles,
     shop_feature_pipeline,
@@ -34,20 +35,32 @@ class EndToEndResult:
     total_phone_energy_mj: float
 
 
-def run_end_to_end(
-    *, seed: int = 42, phones_per_shop: int = 12, budget: int = 30
-) -> EndToEndResult:
-    """Run the coffee-shop deployment through the full SOR protocol."""
+def deploy_coffee_shops(
+    *, seed: int, phones_per_shop: int, budget: int
+) -> tuple[SORSystem, dict[str, RankingReport]]:
+    """Run the coffee-shop deployment and rank it for the customer profiles.
+
+    Returns the finished system (for its statistics and caches) and the
+    per-profile reports of the first ranking pass.
+    """
     system = SORSystem(seed=seed)
     rng = np.random.default_rng(seed)
-    shops = syracuse_coffee_shops(rng)
     pipeline = shop_feature_pipeline()
-    for shop in shops:
+    for shop in syracuse_coffee_shops(rng):
         system.deploy_place(shop, pipeline)
         for _ in range(phones_per_shop):
             system.deploy_phone(shop.place_id, budget=budget)
     system.run()
-    reports = system.process_and_rank("coffee_shop", customer_profiles())
+    return system, system.process_and_rank("coffee_shop", customer_profiles())
+
+
+def run_end_to_end(
+    *, seed: int = 42, phones_per_shop: int = 12, budget: int = 30
+) -> EndToEndResult:
+    """Run the coffee-shop deployment through the full SOR protocol."""
+    system, reports = deploy_coffee_shops(
+        seed=seed, phones_per_shop=phones_per_shop, budget=budget
+    )
     place_names = {
         place_id: deployed.place.name for place_id, deployed in system.places.items()
     }

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.common.errors import ValidationError
 from repro.core.scheduling import (
     DEFAULT_BACKEND,
     GaussianKernel,
@@ -82,9 +83,11 @@ class SweepResult:
 
 
 def _one_point(
-    *, users_count: int, budget: int, runs: int, seed: int,
-    backend: str = DEFAULT_BACKEND,
+    *, x: int, users_count: int, budget: int, runs: int, seed: int,
+    backend: str,
 ) -> SweepPoint:
+    if runs < 1:
+        raise ValidationError(f"runs must be at least 1, got {runs}")
     period = SchedulingPeriod(0.0, PERIOD_S, NUM_INSTANTS)
     kernel = GaussianKernel(sigma=SIGMA_S)
     greedy = GreedyScheduler(backend=backend)
@@ -98,7 +101,7 @@ def _one_point(
         greedy_values.append(greedy.solve(problem).average_coverage)
         baseline_values.append(baseline.solve(problem).average_coverage)
     return SweepPoint(
-        x=users_count if budget == FIXED_BUDGET else budget,
+        x=x,
         greedy_mean=float(np.mean(greedy_values)),
         greedy_std=float(np.std(greedy_values)),
         baseline_mean=float(np.mean(baseline_values)),
@@ -114,6 +117,7 @@ def run_fig14a(
     for users_count in USER_SWEEP:
         result.points.append(
             _one_point(
+                x=users_count,
                 users_count=users_count,
                 budget=FIXED_BUDGET,
                 runs=runs,
@@ -130,15 +134,16 @@ def run_fig14b(
     """Fig. 14(b): average coverage vs sensing budget."""
     result = SweepResult(x_label="budget")
     for budget in BUDGET_SWEEP:
-        point = _one_point(
-            users_count=FIXED_USERS,
-            budget=budget,
-            runs=runs,
-            seed=seed,
-            backend=backend,
+        result.points.append(
+            _one_point(
+                x=budget,
+                users_count=FIXED_USERS,
+                budget=budget,
+                runs=runs,
+                seed=seed,
+                backend=backend,
+            )
         )
-        point.x = budget
-        result.points.append(point)
     return result
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ValidationError
 from repro.experiments import (
     TABLE1_EXPECTED,
     TABLE2_EXPECTED,
@@ -103,6 +104,12 @@ class TestFig14:
     def test_format(self):
         text = format_sweep(run_fig14a(runs=1, seed=0), "test")
         assert "mean improvement" in text
+
+    @pytest.mark.parametrize("sweep", [run_fig14a, run_fig14b])
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_runs_below_one_rejected(self, sweep, runs):
+        with pytest.raises(ValidationError, match="runs must be at least 1"):
+            sweep(runs=runs, seed=0)
 
 
 class TestAblations:
