@@ -18,7 +18,6 @@ from repro.ablation.apply import (
 from repro.ablation.benches import (
     DEFAULT_BENCHES,
     BenchResult,
-    BenchScale,
 )
 from repro.ablation.registry import (
     OFF,
@@ -30,7 +29,6 @@ from repro.ablation.registry import (
 )
 from repro.ablation.report import (
     EFFECT_PREFIX,
-    baseline_bench_json,
     format_report,
     to_bench_json,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "AblationReport",
     "AblationSpec",
     "BenchResult",
-    "BenchScale",
     "ComponentImportance",
     "ConfigResult",
     "DEFAULT_BENCHES",
@@ -57,7 +54,6 @@ __all__ = [
     "ON",
     "Switch",
     "SwitchRegistry",
-    "baseline_bench_json",
     "default_registry",
     "effect_ratio",
     "effective_greedy_values",

@@ -57,8 +57,6 @@ def server_kwargs(
     values: Mapping[str, Any],
     *,
     durability_dir: str | Path | None = None,
-    workers: int = 8,
-    queue_capacity: int = 64,
 ) -> dict[str, Any]:
     """The switch-controlled subset of ``SensingServer`` keywords."""
     kwargs: dict[str, Any] = {
@@ -72,9 +70,7 @@ def server_kwargs(
             )
         kwargs["durability"] = DurabilityConfig(directory=durability_dir)
     if _value(values, "concurrency", "sequential") == "pool":
-        kwargs["concurrency"] = ConcurrencyConfig(
-            workers=workers, queue_capacity=queue_capacity
-        )
+        kwargs["concurrency"] = ConcurrencyConfig()
     return kwargs
 
 
@@ -82,16 +78,9 @@ def system_kwargs(
     values: Mapping[str, Any],
     *,
     durability_dir: str | Path | None = None,
-    workers: int = 8,
-    queue_capacity: int = 64,
 ) -> dict[str, Any]:
     """The switch-controlled subset of ``SORSystem`` keywords."""
-    kwargs = server_kwargs(
-        values,
-        durability_dir=durability_dir,
-        workers=workers,
-        queue_capacity=queue_capacity,
-    )
+    kwargs = server_kwargs(values, durability_dir=durability_dir)
     kwargs["resilient"] = _value(values, "resilient", ON) == ON
     return kwargs
 

@@ -2,8 +2,9 @@
 
 Four benches, one per subsystem the switch matrix touches:
 
-* ``scheduling`` — offline exact greedy on a seeded problem on the
-  configured backend (the ``backend`` switch's primary metric), and a
+* ``scheduling`` — offline exact greedy on a seeded problem (1,000
+  instants, σ = 100 s, 50 users × budget 20) on the configured backend
+  (the ``backend`` switch's primary metric), and a
   long-horizon cell pinned to the numpy backend where the
   ``stochastic`` switch's sampled picks race the exact sweep (the cell
   emits its objective value too, so a run can eyeball the value cost
@@ -22,7 +23,9 @@ robust estimator on shared machines; the warmup also charges the global
 kernel-matrix cache outside the timed window). Everything else —
 schedules, rankings, delivered-row counts, workload digests — is exact
 under the pinned seed, which is what makes the importance *ranking*
-reproducible and the behavior-preservation digests comparable.
+reproducible and the behavior-preservation digests comparable. The
+problem sizes are the module constants below; the committed floors in
+``benchmarks/baselines/BENCH_ablation.json`` are calibrated to them.
 """
 
 from __future__ import annotations
@@ -60,34 +63,34 @@ from repro.sim.arrivals import uniform_arrivals
 PERIOD_S = 10800.0  # the paper's three-hour sensing period
 
 
-@dataclass(frozen=True)
-class BenchScale:
-    """Problem sizes for the slate — the smoke defaults fit a CI job."""
-
-    scheduling_instants: int = 500
-    scheduling_users: int = 40
-    scheduling_budget: int = 15
-    scheduling_sigma_s: float = 60.0
-    # The stochastic cell needs a horizon long enough that a dense sweep
-    # per pick actually hurts; sigma shrinks with the spacing so the
-    # kernel band stays ~60 instants wide.
-    stochastic_instants: int = 20_000
-    stochastic_users: int = 40
-    stochastic_budget: int = 15
-    stochastic_sigma_s: float = 5.0
-    ranking_places: int = 8
-    ranking_features: int = 4
-    ranking_rounds: int = 30
-    loadgen_phones: int = 120
-    loadgen_clients: int = 6
-    loadgen_workers: int = 6
-    loadgen_queue_capacity: int = 32
-    loadgen_io_delay_s: float = 0.002
-    loadgen_places: int = 4
-    fieldtest_phones_per_place: int = 2
-    fieldtest_budget: int = 5
-    fieldtest_instants: int = 240
-    fieldtest_drop_probability: float = 0.10
+# The scheduling cell: a 1,000-instant horizon with a wide (σ = 100 s)
+# kernel, where the reference backend re-walks a long kernel window for
+# every stale heap top while numpy answers each pick with one masked
+# argmax. The ``backend`` switch's committed floor assumes this cell.
+SCHEDULING_INSTANTS = 1_000
+SCHEDULING_USERS = 50
+SCHEDULING_BUDGET = 20
+SCHEDULING_SIGMA_S = 100.0
+# The stochastic cell needs a horizon long enough that a dense sweep per
+# pick actually hurts; sigma shrinks with the spacing so the kernel band
+# stays ~60 instants wide.
+STOCHASTIC_INSTANTS = 20_000
+STOCHASTIC_USERS = 40
+STOCHASTIC_BUDGET = 15
+STOCHASTIC_SIGMA_S = 5.0
+RANKING_PLACES = 8
+RANKING_FEATURES = 4
+RANKING_ROUNDS = 30
+LOADGEN_PHONES = 120
+LOADGEN_CLIENTS = 6
+LOADGEN_WORKERS = 6
+LOADGEN_QUEUE_CAPACITY = 32
+LOADGEN_IO_DELAY_S = 0.002
+LOADGEN_PLACES = 4
+FIELDTEST_PHONES_PER_PLACE = 2
+FIELDTEST_BUDGET = 5
+FIELDTEST_INSTANTS = 240
+FIELDTEST_DROP_PROBABILITY = 0.10
 
 
 @dataclass
@@ -127,35 +130,28 @@ def _best_of(repeat: int, run: Callable[[], Any]) -> tuple[float, Any]:
 # ----------------------------------------------------------------------
 # scheduling
 # ----------------------------------------------------------------------
-def _scheduling_problem(seed: int, scale: BenchScale) -> SchedulingProblem:
+def _scheduling_problem(
+    seed: int, instants: int, users: int, budget: int, sigma_s: float
+) -> SchedulingProblem:
     rng = np.random.default_rng(seed)
-    period = SchedulingPeriod(0.0, PERIOD_S, scale.scheduling_instants)
     return SchedulingProblem(
-        period,
-        uniform_arrivals(
-            scale.scheduling_users, PERIOD_S, scale.scheduling_budget, rng
-        ),
-        GaussianKernel(sigma=scale.scheduling_sigma_s),
-    )
-
-
-def _stochastic_problem(seed: int, scale: BenchScale) -> SchedulingProblem:
-    rng = np.random.default_rng(seed)
-    period = SchedulingPeriod(0.0, PERIOD_S, scale.stochastic_instants)
-    return SchedulingProblem(
-        period,
-        uniform_arrivals(
-            scale.stochastic_users, PERIOD_S, scale.stochastic_budget, rng
-        ),
-        GaussianKernel(sigma=scale.stochastic_sigma_s),
+        SchedulingPeriod(0.0, PERIOD_S, instants),
+        uniform_arrivals(users, PERIOD_S, budget, rng),
+        GaussianKernel(sigma=sigma_s),
     )
 
 
 def bench_scheduling(
-    values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
+    values: Mapping[str, Any], *, seed: int, repeat: int
 ) -> BenchResult:
     """Offline greedy on a seeded problem, plus the long-horizon cell."""
-    problem = _scheduling_problem(seed, scale)
+    problem = _scheduling_problem(
+        seed,
+        SCHEDULING_INSTANTS,
+        SCHEDULING_USERS,
+        SCHEDULING_BUDGET,
+        SCHEDULING_SIGMA_S,
+    )
     configured = GreedyScheduler(
         metrics=MetricsRegistry(), **greedy_kwargs(values)
     )
@@ -164,7 +160,13 @@ def bench_scheduling(
     # (ablated twin), numpy backend only — see stochastic_greedy_kwargs.
     # The schedule is deterministic under the pinned seed but differs
     # from exact greedy by design, so it contributes no digest.
-    long_problem = _stochastic_problem(seed, scale)
+    long_problem = _scheduling_problem(
+        seed,
+        STOCHASTIC_INSTANTS,
+        STOCHASTIC_USERS,
+        STOCHASTIC_BUDGET,
+        STOCHASTIC_SIGMA_S,
+    )
     stochastic = GreedyScheduler(
         metrics=MetricsRegistry(), **stochastic_greedy_kwargs(values, seed=seed)
     )
@@ -185,7 +187,7 @@ def bench_scheduling(
 # ----------------------------------------------------------------------
 # ranking
 # ----------------------------------------------------------------------
-def _ranking_fixture(seed: int, scale: BenchScale):
+def _ranking_fixture(seed: int):
     from repro.core.ranking.preferences import (
         MAX,
         MIN,
@@ -197,8 +199,8 @@ def _ranking_fixture(seed: int, scale: BenchScale):
     database = Database(name="ablation-ranking", metrics=MetricsRegistry())
     create_all_tables(database)
     table = database.table("feature_data")
-    features = [f"f{index}" for index in range(scale.ranking_features)]
-    for place in range(scale.ranking_places):
+    features = [f"f{index}" for index in range(RANKING_FEATURES)]
+    for place in range(RANKING_PLACES):
         for feature_index, feature in enumerate(features):
             table.insert(
                 {
@@ -239,10 +241,10 @@ def _ranking_fixture(seed: int, scale: BenchScale):
 
 
 def bench_ranking(
-    values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
+    values: Mapping[str, Any], *, seed: int, repeat: int
 ) -> BenchResult:
     """Repeated warm ``rank_many`` over unchanged data, cache per config."""
-    database, profiles = _ranking_fixture(seed, scale)
+    database, profiles = _ranking_fixture(seed)
     registry = MetricsRegistry()
     cache = (
         RankingCache(metrics=registry)
@@ -255,7 +257,7 @@ def bench_ranking(
 
     def warm_loop():
         reports = None
-        for _ in range(scale.ranking_rounds):
+        for _ in range(RANKING_ROUNDS):
             reports = ranker.rank_many("ablation", profiles)
         return reports
 
@@ -273,24 +275,24 @@ def bench_ranking(
 # loadgen
 # ----------------------------------------------------------------------
 def bench_loadgen(
-    values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
+    values: Mapping[str, Any], *, seed: int, repeat: int
 ) -> BenchResult:
     """Scaled-down loadgen slate with simulated per-request I/O."""
     from repro.sim.loadgen import LoadgenSpec, run_loadgen
 
     spec = LoadgenSpec(
-        phones=scale.loadgen_phones,
+        phones=LOADGEN_PHONES,
         seed=seed,
         mode=(
             "concurrent"
             if values.get("concurrency", "pool") == "pool"
             else "sequential"
         ),
-        clients=scale.loadgen_clients,
-        workers=scale.loadgen_workers,
-        queue_capacity=scale.loadgen_queue_capacity,
-        io_delay_s=scale.loadgen_io_delay_s,
-        places=scale.loadgen_places,
+        clients=LOADGEN_CLIENTS,
+        workers=LOADGEN_WORKERS,
+        queue_capacity=LOADGEN_QUEUE_CAPACITY,
+        io_delay_s=LOADGEN_IO_DELAY_S,
+        places=LOADGEN_PLACES,
     )
     best = float("inf")
     report = None
@@ -319,7 +321,7 @@ def bench_loadgen(
 # fieldtest
 # ----------------------------------------------------------------------
 def _run_fieldtest(
-    values: Mapping[str, Any], seed: int, scale: BenchScale, directory: str
+    values: Mapping[str, Any], seed: int, directory: str
 ) -> tuple[float, int]:
     from repro.net import NetworkConditions
     from repro.server.system import SORSystem
@@ -334,8 +336,8 @@ def _run_fieldtest(
         network_conditions=NetworkConditions(
             base_latency_s=0.0,
             jitter_s=0.0,
-            drop_probability=scale.fieldtest_drop_probability,
-            response_drop_probability=scale.fieldtest_drop_probability,
+            drop_probability=FIELDTEST_DROP_PROBABILITY,
+            response_drop_probability=FIELDTEST_DROP_PROBABILITY,
         ),
         **system_kwargs(values, durability_dir=directory),
     )
@@ -345,11 +347,11 @@ def _run_fieldtest(
         system.deploy_place(
             shop,
             shop_feature_pipeline(),
-            num_instants=scale.fieldtest_instants,
+            num_instants=FIELDTEST_INSTANTS,
         )
-        for _ in range(scale.fieldtest_phones_per_place):
+        for _ in range(FIELDTEST_PHONES_PER_PLACE):
             system.deploy_phone(
-                shop.place_id, budget=scale.fieldtest_budget
+                shop.place_id, budget=FIELDTEST_BUDGET
             )
     system.run()
     system.process_and_rank("coffee_shop", customer_profiles())
@@ -374,7 +376,7 @@ def _run_fieldtest(
 
 
 def bench_fieldtest(
-    values: Mapping[str, Any], *, seed: int, repeat: int, scale: BenchScale
+    values: Mapping[str, Any], *, seed: int, repeat: int
 ) -> BenchResult:
     """End-to-end field test on a lossy network, then a crash + restart."""
     best = float("inf")
@@ -384,7 +386,7 @@ def bench_fieldtest(
     for _ in range(1 + max(1, repeat)):
         with tempfile.TemporaryDirectory(prefix="sor-ablation-") as directory:
             seconds, raw_rows, feature_rows, recovered = _run_fieldtest(
-                values, seed, scale, directory
+                values, seed, directory
             )
         best = min(best, seconds)
     return BenchResult(

@@ -39,11 +39,11 @@ class Switch:
 
     ``primary_metric`` names the slate metric that isolates this
     component (``direction`` says whether lower or higher is better).
-    ``gate`` switches are emitted into the canonical
-    ``BENCH_ablation.json`` as ``ablation_effect_<name>`` entries with
-    ``gate_tolerance_pct`` so ``compare_bench.py`` fails CI when the
-    component stops earning its keep (importance inversion);
-    ``gate_floor`` documents the conservative committed-baseline value.
+    Every switch's effect ratio is emitted into the fresh
+    ``BENCH_ablation.json`` as an ``ablation_effect_<name>`` entry; its
+    floor and tolerance live only in the committed
+    ``benchmarks/baselines/BENCH_ablation.json``, which
+    ``compare_bench.py`` checks it against.
     """
 
     name: str
@@ -53,9 +53,6 @@ class Switch:
     primary_metric: str
     direction: str = "lower"
     behavior_preserving: bool = False
-    gate: bool = False
-    gate_floor: float = 1.0
-    gate_tolerance_pct: float = 50.0
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
@@ -151,9 +148,6 @@ class SwitchRegistry:
                     primary_metric=switch.primary_metric,
                     direction=switch.direction,
                     behavior_preserving=switch.behavior_preserving,
-                    gate=switch.gate,
-                    gate_floor=switch.gate_floor,
-                    gate_tolerance_pct=switch.gate_tolerance_pct,
                 )
             inverted.register(switch)
         return inverted
@@ -197,9 +191,6 @@ def default_registry() -> SwitchRegistry:
             ablated="reference",
             primary_metric="scheduling_seconds",
             behavior_preserving=True,
-            gate=True,
-            gate_floor=1.6,
-            gate_tolerance_pct=35.0,
         )
     )
     registry.register(
@@ -212,9 +203,6 @@ def default_registry() -> SwitchRegistry:
             baseline=ON,
             ablated=OFF,
             primary_metric="scheduling_stochastic_seconds",
-            gate=True,
-            gate_floor=2.0,
-            gate_tolerance_pct=50.0,
         )
     )
     registry.register(
@@ -226,9 +214,6 @@ def default_registry() -> SwitchRegistry:
             ablated=OFF,
             primary_metric="ranking_seconds",
             behavior_preserving=True,
-            gate=True,
-            gate_floor=5.0,
-            gate_tolerance_pct=60.0,
         )
     )
     registry.register(
@@ -240,9 +225,6 @@ def default_registry() -> SwitchRegistry:
             ablated="sequential",
             primary_metric="loadgen_seconds",
             behavior_preserving=True,
-            gate=True,
-            gate_floor=1.4,
-            gate_tolerance_pct=30.0,
         )
     )
     registry.register(
@@ -254,9 +236,6 @@ def default_registry() -> SwitchRegistry:
             ablated=OFF,
             primary_metric="fieldtest_raw_rows",
             direction="higher",
-            gate=True,
-            gate_floor=1.05,
-            gate_tolerance_pct=10.0,
         )
     )
     registry.register(
@@ -269,9 +248,6 @@ def default_registry() -> SwitchRegistry:
             ablated=OFF,
             primary_metric="fieldtest_recovered_rows",
             direction="higher",
-            gate=True,
-            gate_floor=50.0,
-            gate_tolerance_pct=50.0,
         )
     )
     return registry

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.ablation.benches import DEFAULT_BENCHES, BenchFn, BenchScale
+from repro.ablation.benches import DEFAULT_BENCHES, BenchFn
 from repro.ablation.registry import (
     AblationConfig,
     SwitchRegistry,
@@ -50,7 +50,6 @@ class AblationSpec:
     seed: int = 2014
     repeat: int = 2
     components: tuple[str, ...] | None = None
-    scale: BenchScale = field(default_factory=BenchScale)
 
     def __post_init__(self) -> None:
         if self.repeat < 1:
@@ -91,9 +90,6 @@ class ComponentImportance:
     ratio: float
     impact: float
     kind: str  # "speedup" | "cost" | "neutral"
-    gate: bool
-    gate_floor: float
-    gate_tolerance_pct: float
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form for the report's ``importance`` list."""
@@ -199,12 +195,7 @@ def run_ablation(
         config_started = time.perf_counter()
         for bench_name, bench in benches.items():
             bench_started = time.perf_counter()
-            result = bench(
-                config.values,
-                seed=spec.seed,
-                repeat=spec.repeat,
-                scale=spec.scale,
-            )
+            result = bench(config.values, seed=spec.seed, repeat=spec.repeat)
             m_bench_seconds.set(
                 time.perf_counter() - bench_started,
                 config=config.name,
@@ -262,9 +253,6 @@ def run_ablation(
                 ratio=ratio,
                 impact=abs(math.log(ratio)),
                 kind=_importance_kind(ratio),
-                gate=switch.gate,
-                gate_floor=switch.gate_floor,
-                gate_tolerance_pct=switch.gate_tolerance_pct,
             )
         )
         m_effect.set(ratio, switch=switch.name)

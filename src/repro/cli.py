@@ -73,8 +73,11 @@ def _cmd_all(args: argparse.Namespace) -> str:
     """Every paper artefact in paper order.
 
     Each artefact runs with its own subcommand's defaults; ``--seed``
-    (when given) and ``--runs`` override them.
+    (when given) and ``--runs`` override them. ``--runs`` is checked
+    before the first artefact starts, not when the Fig. 14 sweeps reach it.
     """
+    if args.runs < 1:
+        raise ValidationError(f"runs must be at least 1, got {args.runs}")
     parser = build_parser()
     sections = []
     for name in _PAPER_ARTEFACTS:

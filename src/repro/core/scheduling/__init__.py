@@ -36,6 +36,7 @@ from repro.core.scheduling.greedy import (
     GreedyScheduler,
     argmax_tied_low,
     brute_force_optimal,
+    greedy_window_picks,
     stochastic_sample_size,
     validate_greedy_options,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "clear_kernel_matrix_cache",
     "coverage_of_instants",
     "evaluate_instants",
+    "greedy_window_picks",
     "kernel_matrices",
     "kernel_matrix_cache_bytes",
     "make_objective",

@@ -153,6 +153,52 @@ def argmax_tied_low(values: np.ndarray) -> int:
     return int(np.asarray(values).argmax())
 
 
+def greedy_window_picks(
+    objective: AnyCoverageObjective,
+    lo: int,
+    hi: int,
+    budget: int,
+    *,
+    rng: np.random.Generator | None = None,
+    sample_epsilon: float = 0.1,
+) -> tuple[list[int], int]:
+    """Spend up to ``budget`` greedy picks on instants ``[lo, hi)``.
+
+    One participant's step of the online scheduler: each pick takes the
+    instant of maximum marginal gain in the non-empty window (lowest
+    index on ties), skipping instants this call already took, and adds
+    it to ``objective``; the loop stops once the best gain is
+    numerically zero. With ``rng`` each pick scores a seeded sample of
+    the window instead of the whole window, falling back to the exact
+    sweep when the sample comes up dry. Returns the picks in pick order
+    and the number of candidate instants whose gain was evaluated.
+    """
+    chosen: list[int] = []
+    already: set[int] = set()
+    evaluated = 0
+    sample_size = stochastic_sample_size(hi - lo, budget, sample_epsilon)
+    for _ in range(budget):
+        gains = objective.gains_fast()[lo:hi]
+        evaluated += hi - lo
+        for index in already:
+            gains[index - lo] = -np.inf
+        if rng is not None:
+            draws = rng.integers(0, hi - lo, size=sample_size)
+            positions = np.unique(draws)
+            best_offset = int(positions[argmax_tied_low(gains[positions])])
+            if gains[best_offset] <= 1e-12:
+                best_offset = argmax_tied_low(gains)
+        else:
+            best_offset = argmax_tied_low(gains)
+        if gains[best_offset] <= 1e-12:
+            break
+        instant = lo + best_offset
+        objective.add(instant)
+        already.add(instant)
+        chosen.append(instant)
+    return chosen, evaluated
+
+
 class GreedyScheduler:
     """Greedy maximization of coverage over the budget partition matroid.
 

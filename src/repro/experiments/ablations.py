@@ -1,21 +1,30 @@
-"""Ablation studies for design choices DESIGN.md calls out.
+"""Quality ablations for the design choices DESIGN.md calls out.
 
-Not in the paper — these quantify the impact of the choices the paper
-leaves implicit:
+Not in the paper — these quantify the choices the paper leaves
+implicit, and EXPERIMENTS.md ("Ablations") reports their numbers:
 
 * ``run_sigma_ablation`` — how the coverage-kernel width changes both
   algorithms' coverage (a small σ models fast-changing features;
   schedules must spread much more),
-* ``run_backend_ablation`` — the exact greedy on the numpy backend
-  (masked argmax over maintained gains) vs the scalar reference (lazy
-  heap): identical schedules, different runtimes,
-* ``run_aggregation_ablation`` — footrule aggregation vs Borda
-  count vs the exact (NP-hard) Kemeny optimum on random instances, plus
-  the local-search refinement,
+* ``run_objective_ablation`` — the paper's per-user objective (eq. 2)
+  vs the pooled one it solves (eq. 4), each schedule scored both ways,
+* ``run_scaling_ablation`` — exact vs stochastic greedy as the horizon
+  grows (time, value ratio, tracemalloc peak; ``bench_scaling.py``),
+* ``run_multikernel_ablation`` — scheduling for one kernel vs the
+  per-feature σ blend,
+* ``run_spam_resistance_ablation`` — how far one reversed spam ranking
+  drags footrule vs Borda aggregation (the paper's Kemeny rationale),
 * ``run_online_ablation`` — the price of online operation: the server's
   arrival-order incremental greedy (each user scheduled the moment they
   scan, over their remaining window, without revisiting earlier users)
-  vs the offline greedy that sees all participants up front.
+  vs the offline greedy that sees all participants up front,
+* ``run_aggregation_ablation`` — footrule aggregation vs Borda count vs
+  the exact (NP-hard) Kemeny optimum on random instances, plus the
+  local-search refinement.
+
+Runtime effects of injectable components (numpy vs reference backend,
+ranking cache, …) are measured by ``repro ablate`` instead
+(:mod:`repro.ablation`, docs/ABLATION.md).
 """
 
 from __future__ import annotations
@@ -34,11 +43,16 @@ from repro.core.ranking import (
     weighted_kemeny_distance,
 )
 from repro.core.scheduling import (
+    CoverageObjective,
     GaussianKernel,
     GreedyScheduler,
+    PerUserGreedyScheduler,
     PeriodicBaselineScheduler,
     SchedulingPeriod,
     SchedulingProblem,
+    average_coverage,
+    greedy_window_picks,
+    per_user_sum_value,
 )
 from repro.sim.arrivals import uniform_arrivals
 
@@ -90,73 +104,38 @@ def run_sigma_ablation(
 
 
 # ----------------------------------------------------------------------
-# numpy vs reference scheduling backend
+# equation (2) vs equation (4)
 # ----------------------------------------------------------------------
-@dataclass
-class BackendPoint:
-    num_instants: int
-    sigma_s: float
-    reference_seconds: float
-    numpy_seconds: float
-    identical_schedules: bool
+def run_objective_ablation(
+    *, users: int = 40, budget: int = 17, runs: int = 3, seed: int = 0
+) -> dict[str, float]:
+    """Cross-evaluate the pooled and per-user greedy under both objectives.
 
-    @property
-    def speedup(self) -> float:
-        if not self.numpy_seconds:
-            return 0.0
-        return self.reference_seconds / self.numpy_seconds
-
-
-def run_backend_ablation(
-    *,
-    instant_counts: tuple[int, ...] = (360, 1000),
-    users: int = 30,
-    budget: int = 17,
-    sigma: float = 10.0,
-    seed: int = 0,
-    rounds: int = 3,
-) -> list[BackendPoint]:
-    """Time the numpy backend against the scalar reference; assert they agree.
-
-    Both run the exact greedy: the reference re-walks a kernel window
-    for every stale heap top it re-evaluates, while the numpy objective
-    maintains its gains array and answers each pick with one masked
-    argmax. The gap grows with the kernel window (σ / spacing).
-
-    Each backend is timed ``rounds`` times, interleaved, and the best
-    round is kept — shared machines stall either backend for tens of
-    milliseconds at a time, and the minimum is the standard robust
-    estimator for "how fast does this code actually run".
+    The paper states the objective as a per-user coverage sum (eq. 2)
+    but solves and reports the pooled-set reformulation (eq. 4). Keys
+    are ``<schedule>_by_<metric>`` means over ``runs`` instances, with
+    ``pooled`` the eq. (4) greedy / average coverage and ``perusr`` the
+    eq. (2) greedy / per-user sum.
     """
-    points = []
-    for num_instants in instant_counts:
-        rng = np.random.default_rng(seed)
-        period = SchedulingPeriod(0.0, PERIOD_S, num_instants)
+    period = SchedulingPeriod(0.0, PERIOD_S, 1080)
+    kernel = GaussianKernel(sigma=10.0)
+    rows = []
+    for run in range(runs):
+        rng = np.random.default_rng(seed + run)
         problem = SchedulingProblem(
-            period,
-            uniform_arrivals(users, PERIOD_S, budget, rng),
-            GaussianKernel(sigma=sigma),
+            period, uniform_arrivals(users, PERIOD_S, budget, rng), kernel
         )
-        reference_seconds = float("inf")
-        numpy_seconds = float("inf")
-        reference = vectorized = None
-        for _ in range(max(1, rounds)):
-            start = time.perf_counter()
-            reference = GreedyScheduler(backend="reference").solve(problem)
-            reference_seconds = min(reference_seconds, time.perf_counter() - start)
-            start = time.perf_counter()
-            vectorized = GreedyScheduler(backend="numpy").solve(problem)
-            numpy_seconds = min(numpy_seconds, time.perf_counter() - start)
-        points.append(
-            BackendPoint(
-                num_instants=num_instants,
-                sigma_s=sigma,
-                reference_seconds=reference_seconds,
-                numpy_seconds=numpy_seconds,
-                identical_schedules=reference.assignments == vectorized.assignments,
-            )
+        pooled_schedule = GreedyScheduler().solve(problem)
+        peruser_schedule = PerUserGreedyScheduler().solve(problem)
+        rows.append(
+            {
+                "pooled_by_pooled": pooled_schedule.average_coverage,
+                "pooled_by_perusr": per_user_sum_value(pooled_schedule),
+                "perusr_by_pooled": average_coverage(peruser_schedule),
+                "perusr_by_perusr": peruser_schedule.objective_value,
+            }
         )
-    return points
+    return {key: float(np.mean([row[key] for row in rows])) for key in rows[0]}
 
 
 # ----------------------------------------------------------------------
@@ -445,29 +424,19 @@ def _online_coverage(problem: SchedulingProblem) -> float:
     """Simulate the server's arrival-order incremental scheduling.
 
     Users are processed in arrival order; each spends their budget
-    greedily over [arrival, departure] given everything already
-    committed — exactly what
-    :class:`repro.server.scheduler_service.SensingSchedulerService` does
-    per PARTICIPATE request.
+    through :func:`~repro.core.scheduling.greedy_window_picks` over
+    [arrival, departure] given everything already committed — the same
+    loop :class:`repro.server.scheduler_service.SensingSchedulerService`
+    runs per PARTICIPATE request.
     """
-    from repro.core.scheduling.objective import CoverageObjective
-
     objective = CoverageObjective(problem.period, problem.kernel)
     order = sorted(range(len(problem.users)), key=lambda i: problem.users[i].arrival)
     for user_index in order:
         lo, hi = problem.user_window(user_index)
-        if hi <= lo:
-            continue
-        taken: set[int] = set()
-        for _ in range(problem.users[user_index].budget):
-            gains = objective.gains_fast()[lo:hi]
-            for instant in taken:
-                gains[instant - lo] = -np.inf
-            best = int(np.argmax(gains))
-            if gains[best] <= 1e-12:
-                break
-            objective.add(lo + best)
-            taken.add(lo + best)
+        if hi > lo:
+            greedy_window_picks(
+                objective, lo, hi, problem.users[user_index].budget
+            )
     return objective.average_coverage()
 
 

@@ -24,9 +24,8 @@ from repro.core.scheduling import (
     DEFAULT_BACKEND,
     GaussianKernel,
     SchedulingPeriod,
-    argmax_tied_low,
+    greedy_window_picks,
     make_objective,
-    stochastic_sample_size,
     validate_greedy_options,
 )
 from repro.obs import MetricsRegistry, Tracer, get_metrics, get_tracer
@@ -70,42 +69,23 @@ class _AppSchedulerState:
         """Greedily pick up to ``budget`` instants in the user's window.
 
         Returns the chosen instants and the number of candidate instants
-        whose marginal gain was evaluated (the service reports it). In
-        ``mode="stochastic"`` each pick scores a seeded sample of the
-        window instead of the whole window, falling back to the exact
-        sweep when the sample comes up dry.
+        whose marginal gain was evaluated (the service reports it); see
+        :func:`~repro.core.scheduling.greedy_window_picks`, which in
+        ``mode="stochastic"`` scores a seeded sample per pick.
         """
         lo, hi = self.period.window_indices(
             max(from_time, self.period.start), min(until_time, self.period.end)
         )
         if hi <= lo:
             return [], 0
-        chosen: list[int] = []
-        already: set[int] = set()
-        evaluated = 0
-        sample_size = stochastic_sample_size(
-            hi - lo, budget, self.sample_epsilon
+        chosen, evaluated = greedy_window_picks(
+            self.objective,
+            lo,
+            hi,
+            budget,
+            rng=self._rng,
+            sample_epsilon=self.sample_epsilon,
         )
-        for _ in range(budget):
-            gains = self.objective.gains_fast()[lo:hi]
-            evaluated += hi - lo
-            if already:
-                for index in already:
-                    gains[index - lo] = -np.inf
-            if self._rng is not None:
-                draws = self._rng.integers(0, hi - lo, size=sample_size)
-                positions = np.unique(draws)
-                best_offset = int(positions[argmax_tied_low(gains[positions])])
-                if gains[best_offset] <= 1e-12:
-                    best_offset = argmax_tied_low(gains)
-            else:
-                best_offset = argmax_tied_low(gains)
-            if gains[best_offset] <= 1e-12:
-                break
-            instant = lo + best_offset
-            self.objective.add(instant)
-            already.add(instant)
-            chosen.append(instant)
         self.scheduled_counts[user_id] = (
             self.scheduled_counts.get(user_id, 0) + len(chosen)
         )

@@ -17,11 +17,11 @@ from pathlib import Path
 import pytest
 
 from repro.ablation import (
+    EFFECT_PREFIX,
     AblationSpec,
     BenchResult,
     Switch,
     SwitchRegistry,
-    baseline_bench_json,
     default_registry,
     effect_ratio,
     format_report,
@@ -56,9 +56,6 @@ def synthetic_registry() -> SwitchRegistry:
             ablated="off",
             primary_metric="t_seconds",
             behavior_preserving=True,
-            gate=True,
-            gate_floor=2.0,
-            gate_tolerance_pct=40.0,
         )
     )
     registry.register(
@@ -69,9 +66,6 @@ def synthetic_registry() -> SwitchRegistry:
             ablated="off",
             primary_metric="delivered",
             direction="higher",
-            gate=True,
-            gate_floor=1.5,
-            gate_tolerance_pct=20.0,
         )
     )
     registry.register(
@@ -86,7 +80,7 @@ def synthetic_registry() -> SwitchRegistry:
     return registry
 
 
-def synthetic_bench(values, *, seed, repeat, scale):
+def synthetic_bench(values, *, seed, repeat):
     """Deterministic metrics: fast=off ⇒ 4x slower; costly=on ⇒ 2x rows."""
     seconds = 1.0 * (4.0 if values.get("fast", "on") == "off" else 1.0)
     delivered = 100.0 * (2.0 if values.get("costly", "on") == "on" else 1.0)
@@ -97,6 +91,30 @@ def synthetic_bench(values, *, seed, repeat, scale):
 
 
 SYNTHETIC_BENCHES = {"synthetic": synthetic_bench}
+
+#: Committed-style floors for the synthetic world (the useless switch
+#: has none, like a switch nobody gates yet).
+SYNTHETIC_FLOORS = {
+    "metrics": {
+        "ablation_effect_fast": {
+            "value": 2.0, "direction": "higher", "tolerance_pct": 40.0
+        },
+        "ablation_effect_costly": {
+            "value": 1.5, "direction": "higher", "tolerance_pct": 20.0
+        },
+    }
+}
+
+COMMITTED_FLOORS = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "baselines" / "BENCH_ablation.json"
+)
+
+
+def _load_inline(tmp_path, document):
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(document))
+    return compare_bench.load_metrics(path, 20.0)
 
 
 def run_synthetic(registry=None, spec=None, benches=None):
@@ -235,7 +253,7 @@ class TestRunner:
             )
         )
 
-        def bench(values, *, seed, repeat, scale):
+        def bench(values, *, seed, repeat):
             seconds = 2.0 if values["overhead"] == "on" else 1.0
             return BenchResult(metrics={"t_seconds": seconds})
 
@@ -256,8 +274,8 @@ class TestRunner:
         assert [entry.name for entry in report.importance] == ["fast"]
 
     def test_behavior_digest_divergence_raises(self):
-        def treacherous(values, *, seed, repeat, scale):
-            result = synthetic_bench(values, seed=seed, repeat=repeat, scale=scale)
+        def treacherous(values, *, seed, repeat):
+            result = synthetic_bench(values, seed=seed, repeat=repeat)
             result.digests["work"] = f"depends-on-{values['fast']}"
             return result
 
@@ -267,7 +285,7 @@ class TestRunner:
     def test_metric_collision_between_benches_raises(self):
         benches = {
             "one": synthetic_bench,
-            "two": lambda values, *, seed, repeat, scale: BenchResult(
+            "two": lambda values, *, seed, repeat: BenchResult(
                 metrics={"t_seconds": 1.0}
             ),
         }
@@ -275,7 +293,7 @@ class TestRunner:
             run_synthetic(benches=benches)
 
     def test_missing_primary_metric_raises(self):
-        def sparse(values, *, seed, repeat, scale):
+        def sparse(values, *, seed, repeat):
             return BenchResult(metrics={"t_seconds": 1.0})
 
         with pytest.raises(AblationError, match="primary metric"):
@@ -323,38 +341,52 @@ class TestReport:
         path = tmp_path / "BENCH_ablation.json"
         path.write_text(json.dumps(document))
         loaded = compare_bench.load_metrics(path, 20.0)
-        # Only gated switches become metrics; all read back exactly.
-        assert set(loaded) == {"ablation_effect_fast", "ablation_effect_costly"}
+        # Every switch becomes a metric; all read back exactly.
+        assert set(loaded) == {
+            "ablation_effect_fast",
+            "ablation_effect_costly",
+            "ablation_effect_useless",
+        }
         assert loaded["ablation_effect_fast"]["value"] == pytest.approx(4.0)
         assert loaded["ablation_effect_fast"]["direction"] == "higher"
-        assert loaded["ablation_effect_fast"]["tolerance_pct"] == 40.0
+        # The fresh document carries no floors: tolerances come from the
+        # committed baseline only.
+        assert all(
+            "tolerance_pct" not in entry
+            for entry in document["metrics"].values()
+        )
 
     def test_fresh_run_passes_gate_against_committed_floors(self, tmp_path):
         report = run_synthetic()
-        baseline_path = tmp_path / "baseline.json"
         fresh_path = tmp_path / "fresh.json"
-        baseline_path.write_text(json.dumps(baseline_bench_json(report)))
         fresh_path.write_text(json.dumps(to_bench_json(report)))
         _, failures = compare_bench.compare(
-            compare_bench.load_metrics(baseline_path, 20.0),
+            _load_inline(tmp_path, SYNTHETIC_FLOORS),
             compare_bench.load_metrics(fresh_path, 20.0),
         )
         assert failures == []
 
     def test_importance_inversion_fails_gate(self, tmp_path):
-        honest = run_synthetic()
         inverted = run_synthetic(registry=synthetic_registry().inverted("fast"))
-        baseline_path = tmp_path / "baseline.json"
         fresh_path = tmp_path / "fresh.json"
-        baseline_path.write_text(json.dumps(baseline_bench_json(honest)))
         fresh_path.write_text(json.dumps(to_bench_json(inverted)))
         _, failures = compare_bench.compare(
-            compare_bench.load_metrics(baseline_path, 20.0),
+            _load_inline(tmp_path, SYNTHETIC_FLOORS),
             compare_bench.load_metrics(fresh_path, 20.0),
         )
         # fast's measured ratio collapses to 1/4 — far below its 2.0
         # floor even with 40% tolerance.
         assert any("ablation_effect_fast" in failure for failure in failures)
+
+    def test_registry_matches_committed_floors(self):
+        """Each registered switch has exactly one committed floor entry."""
+        committed = json.loads(COMMITTED_FLOORS.read_text())["metrics"]
+        assert set(committed) == {
+            f"{EFFECT_PREFIX}{name}" for name in default_registry().names()
+        }
+        for name, entry in committed.items():
+            assert entry["direction"] == "higher", name
+            assert float(entry["tolerance_pct"]) > 0, name
 
     def test_text_and_json_forms(self):
         report = run_synthetic()

@@ -15,8 +15,8 @@ from repro.experiments import (
 )
 from repro.experiments.ablations import (
     run_aggregation_ablation,
-    run_backend_ablation,
     run_multikernel_ablation,
+    run_objective_ablation,
     run_online_ablation,
     run_sigma_ablation,
     run_spam_resistance_ablation,
@@ -113,46 +113,58 @@ class TestFig14:
 
 
 class TestAblations:
-    def test_sigma_monotone_coverage(self):
-        points = run_sigma_ablation(sigmas=(5.0, 30.0), runs=2)
-        assert points[1].greedy_coverage > points[0].greedy_coverage
-        for point in points:
-            assert point.greedy_coverage >= point.baseline_coverage
+    """Every study runs at a quick tier-1 size and at the parameters
+    EXPERIMENTS.md reports, and both must satisfy every assertion. The
+    sizes are a loop inside each test rather than a parametrization so
+    the test ids stay stable."""
 
-    def test_backend_identical_and_numpy_faster_at_scale(self):
-        # Correctness tier asserts identity plus a conservative speedup
-        # margin; the ≥3× headline gate lives in the benchmark suite
-        # where timing noise is controlled. Both backends run the exact
-        # greedy, whose gap grows with the kernel window, so this uses
-        # the gate's σ=100 s kernel (~5× measured at 1000 instants).
-        points = run_backend_ablation(instant_counts=(360, 1000), sigma=100.0)
-        assert all(point.identical_schedules for point in points)
-        assert points[-1].speedup > 1.5
+    def test_sigma_monotone_coverage(self):
+        for kwargs in ({"sigmas": (5.0, 30.0), "runs": 2}, {"runs": 3, "seed": 0}):
+            points = run_sigma_ablation(**kwargs)
+            coverages = [point.greedy_coverage for point in points]
+            # wider kernel ⇒ strictly more coverage
+            assert all(a < b for a, b in zip(coverages, coverages[1:])), kwargs
+            for point in points:
+                assert point.greedy_coverage >= point.baseline_coverage, kwargs
+
+    def test_objective_pooled_vs_per_user(self):
+        means = run_objective_ablation(runs=3, seed=0)
+        # Each greedy wins on its own metric…
+        assert means["pooled_by_pooled"] >= means["perusr_by_pooled"]
+        assert means["perusr_by_perusr"] >= means["pooled_by_perusr"] - 1e-6
+        # …and the per-user scheduler pays a real pooled-coverage price.
+        assert means["perusr_by_pooled"] < means["pooled_by_pooled"] * 0.95
 
     def test_aggregation_quality_ordering(self):
-        stats = run_aggregation_ablation(instances=15, num_items=5)
-        assert stats.footrule_ratio <= 2.0  # the theoretical guarantee
-        assert stats.refined_ratio <= stats.footrule_ratio + 1e-9
-        assert stats.footrule_optimal_fraction > 0.3
+        for kwargs in (
+            {"instances": 15, "num_items": 5},
+            {"instances": 40, "num_items": 6, "seed": 0},
+        ):
+            stats = run_aggregation_ablation(**kwargs)
+            assert stats.footrule_ratio <= 2.0, kwargs  # the theoretical guarantee
+            assert stats.refined_ratio <= stats.footrule_ratio + 1e-9, kwargs
+            assert stats.footrule_optimal_fraction > 0.3, kwargs
 
     def test_online_close_to_offline(self):
-        points = run_online_ablation(user_counts=(20, 40), runs=2)
-        for point in points:
-            assert 0.8 <= point.ratio <= 1.02
+        for kwargs in ({"user_counts": (20, 40), "runs": 2}, {"runs": 3, "seed": 0}):
+            for point in run_online_ablation(**kwargs):
+                assert 0.8 <= point.ratio <= 1.02, (kwargs, point)
 
     def test_multikernel_blend_wins_on_blend_value(self):
-        points = run_multikernel_ablation(runs=2, users=10)
-        by_name = {point.strategy: point for point in points}
-        blended = by_name["blended kernels"]
-        for point in points:
-            assert blended.blended_value >= point.blended_value - 1e-6
+        for kwargs in ({"runs": 2, "users": 10}, {"runs": 3, "seed": 0}):
+            points = run_multikernel_ablation(**kwargs)
+            by_name = {point.strategy: point for point in points}
+            blended = by_name["blended kernels"]
+            for point in points:
+                assert blended.blended_value >= point.blended_value - 1e-6, kwargs
 
     def test_spam_resistance_minority_regime(self):
-        points = run_spam_resistance_ablation(instances=10, seed=1)
-        minority = next(point for point in points if point.spam_weight == 3)
-        assert minority.footrule_drift <= minority.borda_drift + 1e-9
-        # drift grows with spam weight for both aggregators
-        assert points[-1].borda_drift >= points[0].borda_drift
+        for kwargs in ({"instances": 10, "seed": 1}, {"instances": 20, "seed": 0}):
+            points = run_spam_resistance_ablation(**kwargs)
+            minority = next(point for point in points if point.spam_weight == 3)
+            assert minority.footrule_drift <= minority.borda_drift + 1e-9, kwargs
+            # drift grows with spam weight for both aggregators
+            assert points[-1].borda_drift >= points[0].borda_drift, kwargs
 
 
 class TestEndToEnd:

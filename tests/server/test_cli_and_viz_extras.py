@@ -98,6 +98,16 @@ class TestCli:
         assert problem in err
         assert "Traceback" not in err
 
+    def test_all_rejects_bad_runs_before_first_artefact(self, monkeypatch, capsys):
+        def fail(**_):
+            raise AssertionError("fig6 ran before --runs was validated")
+
+        monkeypatch.setattr("repro.cli.run_fig6", fail)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["all", "--runs", "0"])
+        assert exit_info.value.code == 2
+        assert "runs must be at least 1" in capsys.readouterr().err
+
     def test_fig14a_seed_flag_is_honoured(self, capsys):
         main(["fig14a", "--runs", "1"])
         default = capsys.readouterr().out
